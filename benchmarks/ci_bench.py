@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -35,6 +36,10 @@ if str(ROOT / "src") not in sys.path:
 from repro.core.construction import build_index  # noqa: E402
 from repro.core.enumerator import CpeEnumerator  # noqa: E402
 from repro.graph import datasets  # noqa: E402
+from repro.service.cache import (  # noqa: E402
+    IndexCache,
+    estimated_entry_bytes,
+)
 from repro.workloads.queries import hot_queries  # noqa: E402
 from repro.workloads.updates import relevant_update_stream  # noqa: E402
 
@@ -49,6 +54,16 @@ NUM_DELETIONS = 15
 #: Inner loop per timed sample — amortizes timer noise on the sub-ms
 #: enumeration stage.
 ENUM_ITERATIONS = 20
+
+#: Answers-only cache stream: keys are every source x target of
+#: CACHE_PAIRS hot pairs (so misses share endpoints with live entries),
+#: the budget is a third of their summed entry sizes (so entries are
+#: evicted), and one round-trip update follows every
+#: CACHE_UPDATE_EVERY queries.
+CACHE_PAIRS = 4
+CACHE_QUERIES = 48
+CACHE_UPDATE_EVERY = 2
+CACHE_UPDATES = 6
 
 
 def run_ci_bench(repeats: int = 3) -> dict:
@@ -150,16 +165,66 @@ def run_ci_bench(repeats: int = 3) -> dict:
     }
 
 
+def run_cache_answers(graph) -> dict:
+    """A fixed-seed query stream through :class:`IndexCache`.
+
+    Queries draw from keys that share endpoints, so misses build from
+    live entries' distance maps, under a budget that forces evictions,
+    with round-trip updates interleaved so every cached entry is
+    repaired.  Returns each answer (key, cache outcome, paths in
+    emission order) and the final cache counters.
+    """
+    working = graph.copy()
+    pairs = hot_queries(working, CACHE_PAIRS, K, 0.10, seed=SEED + 1)
+    sources = list(dict.fromkeys(q.s for q in pairs))
+    targets = list(dict.fromkeys(q.t for q in pairs))
+    keys = [(s, t, K) for s in sources for t in targets if s != t]
+    total = sum(
+        estimated_entry_bytes(CpeEnumerator(working, *key)) for key in keys
+    )
+    cache = IndexCache(working, budget_bytes=total // 3)
+    first = pairs[0]
+    stream = relevant_update_stream(
+        working, first.s, first.t, first.k,
+        CACHE_UPDATES, CACHE_UPDATES, seed=SEED,
+    )
+    updates = list(stream) + [u.inverted() for u in reversed(stream)]
+    rng = random.Random(SEED)
+    answers = []
+    applied = 0
+    for i in range(CACHE_QUERIES):
+        key = rng.choice(keys)
+        lookup = cache.get_or_build(*key)
+        answers.append(
+            {
+                "key": list(key),
+                "outcome": lookup.outcome,
+                "paths": [list(p) for p in lookup.enumerator.startup()],
+            }
+        )
+        if i % CACHE_UPDATE_EVERY == CACHE_UPDATE_EVERY - 1 and updates:
+            update = updates.pop(0)
+            if working.apply_update(update):
+                cache.observe_all(update)
+                applied += 1
+    return {
+        "answers": answers,
+        "updates_applied": applied,
+        "counters": cache.stats().as_dict(),
+    }
+
+
 def run_ci_answers() -> dict:
     """The workload's *answers* (not timings) as a canonical payload.
 
     Runs the same fixed-seed workload as :func:`run_ci_bench` and
     returns every enumerated path: the startup answer per query, the
     per-update applied count over the forward update stream, and the
-    post-stream answer for the maintained query.  Two builds that claim
-    to be equivalent (e.g. the numpy fast path vs the pure-array
-    fallback) must produce byte-identical ``--answers-out`` files —
-    paths, order and all.
+    post-stream answer for the maintained query — plus the cache stream
+    of :func:`run_cache_answers`.  Two builds that claim to be
+    equivalent (e.g. the numpy fast path vs the pure-array fallback)
+    must produce byte-identical ``--answers-out`` files — paths, order,
+    cache outcomes and counters all.
     """
     graph = datasets.load(DATASET, SCALE)
     queries = hot_queries(graph, NUM_QUERIES, K, 0.10, seed=SEED)
@@ -191,6 +256,7 @@ def run_ci_answers() -> dict:
         "startup": startup_answers,
         "updates_applied": applied,
         "post_update_paths": [list(p) for p in enumerator.startup()],
+        "cache": run_cache_answers(graph),
     }
 
 

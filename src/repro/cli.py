@@ -172,7 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--capacity", type=int, default=64,
                     help="admission-control bound on in-flight requests")
     sv.add_argument("--cache-budget", type=int, default=4 << 20,
-                    help="warm-index cache budget in bytes")
+                    help="warm-index cache budget in bytes; charges each "
+                         "entry's partial path index only, not its two "
+                         "distance maps (often several times larger)")
     sv.add_argument(
         "--workers", type=int, default=1,
         help="shard watched pairs across N worker processes "

@@ -250,7 +250,7 @@ class _Builder:
                 else:
                     paths.add(extended)
                 next_frontier.append(extended)
-        self.left.note_added(len(next_frontier))
+        self.left.note_added(len(next_frontier), level)
         self.stats.expansions += expansions
         self.stats.pruned += expansions - len(next_frontier)
         if obs.enabled():
@@ -286,7 +286,7 @@ class _Builder:
                 else:
                     paths.add(extended)
                 next_frontier.append(extended)
-        self.right.note_added(len(next_frontier))
+        self.right.note_added(len(next_frontier), level)
         self.stats.expansions += expansions
         self.stats.pruned += expansions - len(next_frontier)
         if obs.enabled():

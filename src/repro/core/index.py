@@ -113,11 +113,14 @@ class PathBuckets:
     (and the maintenance delta records).
     """
 
-    __slots__ = ("_by_len", "_count", "_version", "_packed")
+    __slots__ = ("_by_len", "_count", "_slots", "_version", "_packed")
 
     def __init__(self) -> None:
         self._by_len: Dict[int, Bucket] = {}
+        # Running path and vertex-slot totals, so sizing the index never
+        # walks the stored paths.
         self._count = 0
+        self._slots = 0
         # Mutation counter + per-length packed-level cache.  Every write
         # (add/remove, or a bulk construction write reported through
         # note_added) bumps the version; packed() rebuilds lazily when
@@ -127,18 +130,21 @@ class PathBuckets:
 
     def add(self, vertex: Vertex, path: Path) -> bool:
         """Insert ``path`` under ``(hops(path), vertex)``; True if new."""
-        bucket = self._by_len.setdefault(hops(path), {})
+        size = len(path)
+        bucket = self._by_len.setdefault(size - 1, {})
         paths = bucket.setdefault(vertex, set())
         if path in paths:
             return False
         paths.add(path)
         self._count += 1
+        self._slots += size
         self._version += 1
         return True
 
     def remove(self, vertex: Vertex, path: Path) -> bool:
         """Remove ``path``; True if it was present."""
-        length = hops(path)
+        size = len(path)
+        length = size - 1
         bucket = self._by_len.get(length)
         if bucket is None:
             return False
@@ -147,6 +153,7 @@ class PathBuckets:
             return False
         paths.discard(path)
         self._count -= 1
+        self._slots -= size
         self._version += 1
         if not paths:
             del bucket[vertex]
@@ -175,15 +182,24 @@ class PathBuckets:
         """
         return self._by_len.setdefault(length, {})
 
-    def note_added(self, count: int) -> None:
-        """Adjust the path counter after direct ``level_dict`` writes.
+    def note_added(self, count: int, length: int) -> None:
+        """Adjust the counters after ``count`` new paths were written
+        directly into ``level_dict(length)``.
 
-        Also invalidates the packed-level caches: the construction level
+        Every path at hop length ``length`` has ``length + 1`` vertices,
+        so the vertex-slot total moves by ``count * (length + 1)``.  Also
+        invalidates the packed-level caches: the construction level
         search writes buckets directly and *always* reports through this
         hook, so the bump keeps the caches exact without a per-path cost.
         """
         self._count += count
+        self._slots += count * (length + 1)
         self._version += 1
+
+    @property
+    def vertex_slots(self) -> int:
+        """Total vertex entries over every stored path (O(1))."""
+        return self._slots
 
     @property
     def version(self) -> int:
@@ -468,13 +484,15 @@ class PartialPathIndex:
     # Accounting
     # ------------------------------------------------------------------
     def memory_stats(self) -> IndexMemoryStats:
-        """Size accounting for the memory experiment (Fig. 12)."""
-        slots = sum(len(p) for p in self.left.paths())
-        slots += sum(len(p) for p in self.right.paths())
+        """Size accounting for the memory experiment (Fig. 12).
+
+        Reads the buckets' running counters, so it costs O(1) however
+        many partial paths are stored.
+        """
         return IndexMemoryStats(
             left_paths=len(self.left),
             right_paths=len(self.right),
-            vertex_slots=slots,
+            vertex_slots=self.left.vertex_slots + self.right.vertex_slots,
         )
 
     def __repr__(self) -> str:

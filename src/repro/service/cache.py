@@ -9,17 +9,19 @@ their per-query state (:func:`estimated_entry_bytes` — the graph is
 excluded, since every cached entry shares the one service graph), and
 evicts least-recently-used entries once the budget is exceeded.
 
-Sizing used to go through
-:func:`repro.core.serialize.snapshot_size_bytes`, which serializes the
-whole index to JSON just to measure it — about a quarter of a cold
-query's cost.  :func:`estimated_entry_bytes` reads the index's own
-memory accounting instead; budgets are therefore expressed in the same
-units as :attr:`repro.core.index.IndexMemoryStats.approx_bytes`.
+:func:`estimated_entry_bytes` reads the index's running path and
+vertex-slot counters, so sizing an entry costs O(1) — after a miss and
+after every repair — however many partial paths it stores.  Budgets are
+expressed in the units of
+:attr:`repro.core.index.IndexMemoryStats.approx_bytes`.
 
 The cache does not keep entries consistent by itself: the owning engine
 must replay every graph update into each cached enumerator (via
 :meth:`CpeEnumerator.observe`) exactly as it does for watched pairs —
-see :meth:`IndexCache.observe_all`.
+see :meth:`IndexCache.observe_all`.  Because every live entry's
+``Dist_s`` / ``Dist_t`` maps are therefore exact, a miss clones them
+from a live entry that shares its source (or target) and ``k`` instead
+of running that side's hop-capped BFS again.
 """
 
 from __future__ import annotations
@@ -30,24 +32,28 @@ from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.obs import events
+from repro.core.construction import build_index
+from repro.core.distance import DistanceMap
 from repro.core.enumerator import CpeEnumerator, UpdateResult
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate, Vertex
 
 CacheKey = Tuple[Vertex, Vertex, int]
 
 #: Fixed per-entry overhead charged on top of the index-proportional
-#: cost: the join plan, the two distance maps' bookkeeping, and the
-#: cache's own per-key records.
+#: cost: the join plan and the cache's own per-key records.  The two
+#: distance maps are *not* charged, though they are usually the larger
+#: part of an entry: for top-1% pairs of WG at scale 1.0 and k=7, the
+#: maps hold ≈440 KB per entry against ≈55-60 KB charged.
 ENTRY_BASE_BYTES = 256
 
 
 def estimated_entry_bytes(entry: CpeEnumerator) -> int:
-    """Estimated resident size of one entry's per-query state.
+    """Estimated resident size of one entry's partial path index.
 
-    Derived from the index's own memory accounting
-    (:meth:`~repro.core.index.PartialPathIndex.memory_stats`) plus a
-    fixed :data:`ENTRY_BASE_BYTES` overhead — one pass over the stored
-    partial paths, no serialization.  Deterministic for a given index
+    The index's own memory accounting
+    (:meth:`~repro.core.index.PartialPathIndex.memory_stats`, which
+    reads running counters in O(1)) plus a fixed
+    :data:`ENTRY_BASE_BYTES` overhead.  Deterministic for a given index
     state, so sizing decisions (cache vs. bypass, eviction pressure)
     are reproducible.
     """
@@ -154,12 +160,16 @@ class IndexCache:
         """The warm enumerator for ``(s, t, k)``, building it on a miss.
 
         A hit refreshes recency; a miss constructs the index
-        (``CPE_startup``'s build phase), estimates its size, and either
-        caches it (evicting LRU entries past the budget) or bypasses
-        the cache when the entry alone is larger than the whole budget.
-        The returned :class:`CacheLookup` carries the outcome this call
+        (``CPE_startup``'s build phase, with each side's distance map
+        cloned from a live entry that shares that endpoint and ``k``
+        when there is one), estimates its size, and either caches it
+        (evicting LRU entries past the budget) or bypasses the cache
+        when the entry alone is larger than the whole budget.  The
+        returned :class:`CacheLookup` carries the outcome this call
         took (``hit`` / ``miss`` / ``bypass``) explicitly, so callers
-        never have to infer it from post-call cache state.
+        never have to infer it from post-call cache state.  An invalid
+        query (``s == t`` or ``k < 0``) raises :class:`ValueError`
+        before any counter, metric or event moves.
 
         ``build`` substitutes the miss-path construction — the hook
         :mod:`repro.batching` uses to inject shared distance maps.  It
@@ -168,6 +178,10 @@ class IndexCache:
         are identical either way, which is what keeps batched and
         sequential execution byte-for-byte equivalent.
         """
+        if s == t:
+            raise ValueError("s and t must differ")
+        if k < 0:
+            raise ValueError("k must be non-negative")
         key = (s, t, k)
         entry = self._entries.get(key)
         if entry is not None:
@@ -182,9 +196,7 @@ class IndexCache:
         events.emit(events.CACHE_MISS, s=s, t=t, k=k)
         self._note_lookup()
         with obs.span("service.cache.build"):
-            entry = (
-                CpeEnumerator(self.graph, s, t, k) if build is None else build()
-            )
+            entry = self._build(s, t, k) if build is None else build()
         size = estimated_entry_bytes(entry)
         if size > self.budget_bytes:
             self._bypasses += 1
@@ -195,6 +207,30 @@ class IndexCache:
         self._current_bytes += size
         self._shrink_to_budget()
         return CacheLookup(entry, "miss")
+
+    def _build(self, s: Vertex, t: Vertex, k: int) -> CpeEnumerator:
+        """Construct ``(s, t, k)``, seeding its distance maps from live
+        entries.
+
+        :meth:`observe_all` repairs every entry's maps on every update,
+        so a live entry with the same ``(s, k)`` holds exactly the
+        ``Dist_s`` a fresh BFS would compute, and one with the same
+        ``(t, k)`` exactly the ``Dist_t``.  A clone replaces that side's
+        BFS; a side with no such entry runs its own.
+        """
+        dist_s: Optional[DistanceMap] = None
+        dist_t: Optional[DistanceMap] = None
+        for (entry_s, entry_t, entry_k), entry in self._entries.items():
+            if entry_k != k:
+                continue
+            if dist_s is None and entry_s == s:
+                dist_s = entry.dist_s.clone()
+            if dist_t is None and entry_t == t:
+                dist_t = entry.dist_t.clone()
+            if dist_s is not None and dist_t is not None:
+                break
+        build = build_index(self.graph, s, t, k, dist_s=dist_s, dist_t=dist_t)
+        return CpeEnumerator.from_build(self.graph, build)
 
     def invalidate(self, key: CacheKey) -> bool:
         """Drop one entry; True if it was cached."""

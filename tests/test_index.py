@@ -79,9 +79,10 @@ class TestPathBuckets:
         b = PathBuckets()
         level = b.level_dict(2)
         level[3] = {(0, 1, 3)}
-        b.note_added(1)
+        b.note_added(1, 2)
         assert b.contains(3, (0, 1, 3))
         assert len(b) == 1
+        assert b.vertex_slots == 3
 
 
 class TestPartialPathIndex:

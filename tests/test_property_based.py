@@ -7,6 +7,7 @@ from repro.baselines.bruteforce import path_set
 from repro.core.construction import build_index
 from repro.core.distance import DistanceMap
 from repro.core.enumerator import CpeEnumerator
+from repro.core.index import IndexMemoryStats, PathBuckets
 from repro.core.paths import hops, is_simple
 from repro.core.plan import balanced_plan
 from repro.graph.digraph import DynamicDiGraph
@@ -115,6 +116,84 @@ def test_distance_maps_stay_exact(case):
             g.add_edge(u, v)
             d.relax_insert(u, v)
         assert d.is_consistent()
+
+
+def recounted_stats(index):
+    """``memory_stats()`` recomputed by walking every stored path."""
+    left = list(index.left.paths())
+    right = list(index.right.paths())
+    return IndexMemoryStats(
+        left_paths=len(left),
+        right_paths=len(right),
+        vertex_slots=sum(len(p) for p in left + right),
+    )
+
+
+@given(update_streams())
+@SETTINGS
+def test_memory_stats_equal_full_recount(case):
+    n, edges, s, t, k, stream = case
+    g = build(n, edges)
+    cpe = CpeEnumerator(g, s, t, k)
+    assert cpe.memory_stats() == recounted_stats(cpe.index)
+    for u, v in stream:
+        if g.has_edge(u, v):
+            cpe.delete_edge(u, v)
+        else:
+            cpe.insert_edge(u, v)
+        assert cpe.memory_stats() == recounted_stats(cpe.index)
+
+
+def paths_of(length):
+    """Simple paths with ``length`` hops over a small vertex range."""
+    return st.lists(
+        st.integers(0, 6), min_size=length + 1, max_size=length + 1,
+        unique=True,
+    ).map(tuple)
+
+
+@given(st.data())
+@SETTINGS
+def test_bucket_counters_track_every_write(data):
+    buckets = PathBuckets()
+    stored = set()
+
+    def assert_counters():
+        assert len(buckets) == len(stored)
+        assert buckets.vertex_slots == sum(len(p) for p in stored)
+        assert set(buckets.paths()) == stored
+
+    for _ in range(data.draw(st.integers(0, 30))):
+        kind = data.draw(st.sampled_from(("add", "remove", "bulk")))
+        length = data.draw(st.integers(1, 4))
+        if kind == "remove" and stored:
+            path = data.draw(st.sampled_from(sorted(stored)))
+            assert buckets.remove(path[-1], path)
+            stored.discard(path)
+        elif kind == "bulk":
+            # The construction level search's write: new paths straight
+            # into the level dict, reported through note_added.
+            new = sorted(
+                set(data.draw(st.lists(paths_of(length), max_size=4)))
+                - stored
+            )
+            level = buckets.level_dict(length)
+            for path in new:
+                level.setdefault(path[-1], set()).add(path)
+            buckets.note_added(len(new), length)
+            stored.update(new)
+        else:
+            path = data.draw(paths_of(length))
+            assert buckets.add(path[-1], path) == (path not in stored)
+            stored.add(path)
+        assert_counters()
+    # Drain, so every bucket loses its last path.
+    for path in sorted(stored):
+        assert buckets.remove(path[-1], path)
+        stored.discard(path)
+        assert_counters()
+    assert buckets.vertex_slots == 0
+    assert buckets.as_dict() == {}
 
 
 @given(graph_queries())

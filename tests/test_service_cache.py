@@ -10,8 +10,17 @@ from repro.core.serialize import snapshot_size_bytes
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
 from repro.obs import events
 from repro.core.construction import build_index
+from repro.core.distance import DistanceMap
 from repro.core.enumerator import CpeEnumerator
-from repro.service.cache import IndexCache, estimated_entry_bytes
+from repro.core import index as index_module
+from repro.core.index import PathBuckets
+from repro.service.cache import (
+    ENTRY_BASE_BYTES,
+    IndexCache,
+    estimated_entry_bytes,
+)
+from repro.service.engine import PathQueryEngine
+from repro.service.protocol import BadRequestError
 from tests.conftest import make_random_graph, random_query
 
 
@@ -261,3 +270,201 @@ class TestSizingHook:
             json.dumps(snapshot(enum), separators=(",", ":")).encode()
         )
         assert snapshot_size_bytes(enum) == expected
+
+
+@pytest.fixture
+def instrumented():
+    """Metrics and the event log on, both empty; restored afterwards."""
+    prev_obs = obs.set_enabled(True)
+    prev_events = events.set_enabled(True)
+    obs.reset()
+    events.reset()
+    yield
+    obs.set_enabled(prev_obs)
+    events.set_enabled(prev_events)
+    obs.reset()
+    events.reset()
+
+
+def _cache_metrics():
+    return {
+        name: value
+        for name, value in obs.snapshot()["counters"].items()
+        if name.startswith("service.cache.")
+    }
+
+
+class TestRejectedQuery:
+    """An invalid query must not count as a lookup.
+
+    Regression: ``s == t`` passes protocol decoding, and
+    ``get_or_build`` used to bump ``misses``, emit ``cache.miss`` and
+    bump ``service.cache.misses`` before the enumerator rejected it.
+    """
+
+    def test_cache_counters_metrics_and_events_unchanged(self, instrumented):
+        cache = IndexCache(chain_graph())
+        cache.get_or_build(0, 4, 4)
+        cache.get_or_build(0, 4, 4)
+        before = (
+            cache.stats().as_dict(), _cache_metrics(), events.tail(1000)
+        )
+        for s, t, k in [(2, 2, 4), (3, 3, 4), (0, 4, -1)]:
+            with pytest.raises(ValueError):
+                cache.get_or_build(s, t, k)
+        after = (cache.stats().as_dict(), _cache_metrics(), events.tail(1000))
+        assert after == before
+
+    def test_rejected_served_query_is_not_a_miss(self, instrumented):
+        engine = PathQueryEngine(chain_graph(), default_k=4)
+        engine.op_query(s=0, t=4, k=4)
+        before_cache = engine.op_stats()["cache"]
+        before_events = events.tail(1000)
+        for _ in range(2):
+            with pytest.raises(BadRequestError):
+                engine.op_query(s=3, t=3, k=4)
+        assert engine.op_stats()["cache"] == before_cache
+        assert events.tail(1000) == before_events
+
+
+def _recounted_bytes(entry):
+    index = entry.index
+    paths = [*PathBuckets.paths(index.left), *PathBuckets.paths(index.right)]
+    return (
+        ENTRY_BASE_BYTES + 8 * sum(len(p) for p in paths) + 16 * len(paths)
+    )
+
+
+def _flips(rng, graph, count):
+    """``count`` random edge flips (insert if absent, else delete), each
+    drawn against the live graph: apply one before drawing the next."""
+    vertices = list(graph.vertices())
+    for _ in range(count):
+        u, v = rng.sample(vertices, 2)
+        yield EdgeUpdate(u, v, not graph.has_edge(u, v))
+
+
+class _UnwalkableBuckets(PathBuckets):
+    """Index buckets whose whole-index walks fail the test."""
+
+    __slots__ = ()
+
+    def paths(self):
+        raise AssertionError("walked every stored path of an index")
+
+    def entries(self):
+        raise AssertionError("walked every stored path of an index")
+
+
+class TestSizing:
+    def test_observe_all_and_miss_never_walk_stored_paths(self, monkeypatch):
+        # Regression: every repaired entry used to be re-sized through a
+        # full pass over its stored partial paths.  Construction picks
+        # its bucket class up at build time, so every index built below
+        # stores its paths in _UnwalkableBuckets; maintenance deltas stay
+        # plain PathBuckets.
+        monkeypatch.setattr(index_module, "PathBuckets", _UnwalkableBuckets)
+        rng = random.Random(5)
+        g = make_random_graph(rng, n_lo=9, n_hi=9, max_edges=30)
+        cache = IndexCache(g)
+        cache.get_or_build(0, 8, 5)
+        cache.get_or_build(1, 7, 5)
+        cache.get_or_build(0, 7, 5)
+        for update in _flips(rng, g, 12):
+            assert g.apply_update(update)
+            cache.observe_all(update)
+        monkeypatch.undo()
+        keys = list(cache.keys())
+        assert len(keys) == 3
+        assert cache.stats().current_bytes == sum(
+            _recounted_bytes(cache.peek(key)) for key in keys
+        )
+
+
+def _shared_endpoint_case(seed):
+    """A cache holding ``(s, t1, k)`` and ``(s2, t, k)``, plus the key
+    ``(s, t, k)`` that shares its source with one entry and its target
+    with the other."""
+    rng = random.Random(seed)
+    g = make_random_graph(rng, n_lo=9, n_hi=11, max_edges=36)
+    s, t, s2, t1 = rng.sample(list(g.vertices()), 4)
+    k = rng.randint(3, 5)
+    cache = IndexCache(g)
+    source_entry = cache.get_or_build(s, t1, k).enumerator
+    target_entry = cache.get_or_build(s2, t, k).enumerator
+    return rng, g, cache, (s, t, k), source_entry, target_entry
+
+
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """Sources of every ``DistanceMap`` BFS run while the test runs."""
+    sources = []
+    real_init = DistanceMap.__init__
+
+    def counting_init(self, view, source, horizon):
+        sources.append(source)
+        real_init(self, view, source, horizon)
+
+    monkeypatch.setattr(DistanceMap, "__init__", counting_init)
+    return sources
+
+
+class TestMissReusesLiveMaps:
+    SEEDS = range(12)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_shared_endpoints_run_no_bfs(self, seed, bfs_sources):
+        _, g, cache, (s, t, k), _, _ = _shared_endpoint_case(seed)
+        del bfs_sources[:]
+        lookup = cache.get_or_build(s, t, k)
+        assert lookup.outcome == "miss"
+        assert bfs_sources == []
+        fresh = CpeEnumerator(g, s, t, k)
+        assert len(bfs_sources) == 2
+        assert lookup.enumerator.startup() == fresh.startup()
+        assert lookup.enumerator.plan == fresh.plan
+
+    def test_unshared_side_runs_its_own_bfs(self, bfs_sources):
+        _, g, cache, (s, t, k), source_entry, target_entry = (
+            _shared_endpoint_case(0)
+        )
+        used = {s, t, source_entry.t, target_entry.s}
+        other = next(v for v in g.vertices() if v not in used)
+        del bfs_sources[:]
+        cache.get_or_build(s, other, k)
+        assert bfs_sources == [other]
+        cache.get_or_build(other, t, k)
+        assert bfs_sources == [other, other]
+        cache.get_or_build(s, t, k + 1)
+        assert bfs_sources == [other, other, s, t]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeded_entry_tracks_updates_exactly(self, seed):
+        rng, g, cache, key, source_entry, target_entry = (
+            _shared_endpoint_case(seed)
+        )
+        s, t, k = key
+        seeded = cache.get_or_build(s, t, k).enumerator
+        fresh = CpeEnumerator(g, s, t, k)
+        current = path_set(g, s, t, k)
+        for update in _flips(rng, g, 15):
+            assert g.apply_update(update)
+            got = cache.observe_all(update)[key].paths
+            assert got == fresh.observe(update).paths
+            after = path_set(g, s, t, k)
+            assert set(got) == (
+                after - current if update.insert else current - after
+            )
+            current = after
+        # A maintained index's emission order follows its own update
+        # history, so the byte-level reference is the enumerator that
+        # observed the same stream.
+        assert seeded.startup() == fresh.startup()
+        assert set(seeded.startup()) == current
+        maps = [
+            entry.dist_s for entry in (source_entry, target_entry, seeded)
+        ] + [entry.dist_t for entry in (source_entry, target_entry, seeded)]
+        assert all(m.is_consistent() for m in maps)
+        assert len({id(m.raw) for m in maps}) == len(maps)
+        assert seeded.dist_s.raw == source_entry.dist_s.raw
+        assert seeded.dist_t.raw == target_entry.dist_t.raw
