@@ -24,9 +24,21 @@ The on side pays one deque append per span plus one lock-and-compare
 per request for the ring tick — the budget for leaving the recorder on
 in production is the same 5%.
 
+The fourth benchmark gates what obs and EXPLAIN cost on the full join
+itself: ``enumerate_full_list`` paths/s with obs on, and under an
+EXPLAIN recorder, each divided by paths/s with both off.  Both read
+their per-pair counts off the production join's program, once per plan
+pair, so the ratios must stay at or above :data:`JOIN_FLOOR`.  The
+config is enumeration-heavy (WG 1.0, k=9, five top-1% hot pairs, seed
+7: 37,861 paths) because the per-pair recording is a fixed cost per
+query that needs thousands of paths to amortize.  Each query runs in
+the three modes back to back, and the gate takes the median over
+:data:`JOIN_ROUNDS` rounds of each round's paired ratio.
+
 Runs are recorded under ``benchmarks/results/bench_obs.json``,
-``benchmarks/results/bench_obs_events.json`` and
-``benchmarks/results/bench_obs_flight.json``.
+``benchmarks/results/bench_obs_events.json``,
+``benchmarks/results/bench_obs_flight.json`` and
+``benchmarks/results/bench_obs_join.json``.
 """
 
 from __future__ import annotations
@@ -37,8 +49,10 @@ import time
 
 from benchmarks.conftest import bench_config as _config, metric, publish_json
 from repro import obs
+from repro.core.enumeration import enumerate_full_list
 from repro.core.enumerator import CpeEnumerator
 from repro.graph import datasets
+from repro.obs.explain import recording
 from repro.workloads.queries import hot_queries
 from repro.workloads.updates import relevant_update_stream
 
@@ -47,6 +61,12 @@ from repro.workloads.updates import relevant_update_stream
 TOLERANCE = float(os.environ.get("REPRO_BENCH_OBS_TOLERANCE", 1.25))
 
 REPEATS = int(os.environ.get("REPRO_BENCH_OBS_REPEATS", 5))
+
+#: Minimum join paths/s with obs on (or a recorder) over obs off.
+JOIN_FLOOR = 0.95
+
+#: Timed rounds of the join gate (each runs every query in all modes).
+JOIN_ROUNDS = 15
 
 
 def _workload():
@@ -265,10 +285,96 @@ def bench_flight_overhead_under_budget():
     )
 
 
+def _time_join(index, mode: str) -> float:
+    """One ``enumerate_full_list`` call with obs off, obs on, or under an
+    EXPLAIN recorder (``mode`` "off" / "obs" / "explain")."""
+    obs.set_enabled(mode == "obs")
+    start = time.perf_counter()
+    if mode == "explain":
+        with recording():
+            enumerate_full_list(index)
+    else:
+        enumerate_full_list(index)
+    return time.perf_counter() - start
+
+
+def bench_join_observed_at_production_speed():
+    """Join paths/s with obs on / a recorder stay >= JOIN_FLOOR of off."""
+    config = _config(scale=1.0, k=9, num_queries=5)
+    graph = datasets.load("WG", config.scale)
+    queries = hot_queries(
+        graph, config.num_queries, config.k, 0.01, seed=config.seed
+    )
+    indexes = [CpeEnumerator(graph, q.s, q.t, q.k).index for q in queries]
+    paths = sum(len(enumerate_full_list(index)) for index in indexes)
+    modes = ("off", "obs", "explain")
+    rounds = {mode: [] for mode in modes}
+    previous = obs.set_enabled(False)
+    try:
+        for round_no in range(JOIN_ROUNDS + 1):  # round 0 warms up
+            spent = dict.fromkeys(modes, 0.0)
+            for position, index in enumerate(indexes):
+                # Every query runs in all three modes back to back, in a
+                # rotating order, so host drift and CPU steal on a shared
+                # runner hit the modes alike.
+                shift = (round_no + position) % len(modes)
+                for mode in modes[shift:] + modes[:shift]:
+                    spent[mode] += _time_join(index, mode)
+            for mode in modes:
+                rounds[mode].append(spent[mode])
+    finally:
+        obs.set_enabled(previous)
+        obs.reset()
+    rate = {
+        mode: paths / statistics.median(times[1:])
+        for mode, times in rounds.items()
+    }
+    # Median over the timed rounds of each round's paired ratio: a
+    # round's three modes ran interleaved, so the ratio cancels drift.
+    obs_ratio, explain_ratio = [
+        statistics.median(
+            off / other
+            for off, other in zip(rounds["off"][1:], rounds[mode][1:])
+        )
+        for mode in ("obs", "explain")
+    ]
+    print(f"\njoin paths/s ({paths} paths): off {rate['off']:,.0f}, "
+          f"obs {rate['obs']:,.0f} (ratio {obs_ratio:.3f}), "
+          f"explain {rate['explain']:,.0f} (ratio {explain_ratio:.3f}); "
+          f"floor {JOIN_FLOOR:.2f}")
+    publish_json(
+        "bench_obs_join",
+        {
+            **{
+                f"join_paths_per_s.{mode}": metric(
+                    value, unit="paths/s", direction="higher"
+                )
+                for mode, value in rate.items()
+            },
+            "join_obs_paths_ratio": metric(
+                obs_ratio, unit="ratio", direction="higher"
+            ),
+            "join_explain_paths_ratio": metric(
+                explain_ratio, unit="ratio", direction="higher"
+            ),
+        },
+        config=config,
+    )
+    assert obs_ratio >= JOIN_FLOOR, (
+        f"join with obs on runs at {obs_ratio:.3f} of obs off"
+    )
+    assert explain_ratio >= JOIN_FLOOR, (
+        f"join under an EXPLAIN recorder runs at {explain_ratio:.3f} of off"
+    )
+
+
 __all__ = [
     "TOLERANCE",
     "REPEATS",
+    "JOIN_FLOOR",
+    "JOIN_ROUNDS",
     "bench_obs_overhead_under_budget",
     "bench_events_overhead_under_budget",
     "bench_flight_overhead_under_budget",
+    "bench_join_observed_at_production_speed",
 ]

@@ -10,10 +10,13 @@ Checks, in order:
 1. the file is Chrome trace-event JSON that
    :func:`repro.obs.trace.validate_chrome_trace` accepts;
 2. the explain instants are present (``explain.cut``,
-   ``explain.level`` — and ``explain.join`` for ANALYZE traces);
+   ``explain.level``);
 3. the embedded ``repro-explain/1`` report is attached under
    ``metadata.explain`` and, when the trace was recorded with
-   ``--analyze``, its emit-total invariant holds.
+   ``--analyze``: its emit-total invariant holds, there is exactly one
+   ``explain.join`` instant per plan pair, and each pair's measured
+   ``probes`` equals its ``estimates[].est_output`` (both are read off
+   the same join-program step).
 
 Exit status 0 when the trace is sound, 1 with one problem per line
 otherwise — the shape CI steps want.
@@ -23,11 +26,13 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from typing import List
 
 from repro.obs.trace import validate_chrome_trace
 
-#: Instants every explain trace must contain (ANALYZE adds explain.join).
+#: Instants every explain trace must contain (ANALYZE adds one
+#: explain.join per plan pair).
 REQUIRED_INSTANTS = ("explain.cut", "explain.level")
 
 
@@ -50,13 +55,43 @@ def check_trace(payload: object) -> List[str]:
             f"unexpected explain schema {explain.get('schema')!r}"
         )
     if explain.get("analyze"):
-        if "explain.join" not in names:
-            problems.append("ANALYZE trace has no explain.join instants")
+        problems.extend(_join_problems(payload["traceEvents"], explain))
         if explain.get("invariant_ok") is not True:
             problems.append(
                 "ANALYZE invariant failed: join emit total "
                 f"{explain.get('emitted_total')} != path total "
                 f"{explain.get('total_paths')}"
+            )
+    return problems
+
+
+def _join_problems(events: List[dict], explain: dict) -> List[str]:
+    """Per-pair accounting of an ANALYZE trace: one ``explain.join``
+    instant per plan pair, its probes equal to the pair's estimate."""
+    problems: List[str] = []
+    joins = [
+        event.get("args", {})
+        for event in events
+        if event.get("name") == "explain.join"
+    ]
+    seen = Counter((args.get("i"), args.get("j")) for args in joins)
+    plan = Counter(tuple(pair) for pair in explain.get("plan", []))
+    if seen != plan:
+        problems.append(
+            "explain.join instants do not match the plan pairs: missing "
+            f"{sorted(map(str, plan - seen))}, extra "
+            f"{sorted(map(str, seen - plan))}"
+        )
+    estimates = {
+        (est.get("i"), est.get("j")): est.get("est_output")
+        for est in explain.get("estimates", [])
+    }
+    for args in joins:
+        pair = (args.get("i"), args.get("j"))
+        if args.get("probes") != estimates.get(pair):
+            problems.append(
+                f"explain.join {pair}: probes {args.get('probes')} != "
+                f"estimated output {estimates.get(pair)}"
             )
     return problems
 

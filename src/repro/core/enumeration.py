@@ -3,7 +3,8 @@
 - :func:`enumerate_full` — Algorithm 1: for every plan pair ``(i, j)``
   join ``LP_i(v_c)`` with ``RP_j(v_c)`` over the middle vertices, with a
   vertex-disjointness check; each k-st path appears exactly once
-  (Theorems 1–2).
+  (Theorems 1–2).  :func:`enumerate_full_list` and :func:`count_full`
+  run the same join, materialized and counted.
 - :func:`enumerate_delta` — the update enumeration: joins in which at
   least one side belongs to the changed part of the index, i.e.
   ``ΔLP ⋈ RP  ∪  (LP − ΔLP) ⋈ ΔRP`` (Theorem 3).  Used with the
@@ -14,12 +15,17 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List
+from typing import Any, Iterator, List, Optional
 
 from repro import obs
 from repro.obs.explain import ExplainRecord
 from repro.obs.explain import active as explain_active
-from repro.core.index import PackedLevel, PartialPathIndex, PathBuckets
+from repro.core.index import (
+    JoinStep,
+    PackedLevel,
+    PartialPathIndex,
+    PathBuckets,
+)
 from repro.core.paths import Path
 from repro.graph.npcompat import get_numpy
 
@@ -34,86 +40,132 @@ _NP_BLOCK_BYTES = 1 << 24
 def enumerate_full(index: PartialPathIndex) -> Iterator[Path]:
     """Yield every k-st path currently represented by the index.
 
-    With observability on (:func:`repro.obs.enabled`) the join loop also
-    records per-``(i, j)`` pair output counts; with an EXPLAIN recorder
-    installed (:func:`repro.obs.explain.active`) it additionally counts
-    cut vertices and per-pair probe/emit cardinalities.  The plain path
-    probes the packed levels (:meth:`PartialPathIndex.packed_left` /
-    ``packed_right``): one int AND against the cut-vertex bit replaces
-    the per-probe set build + ``isdisjoint`` + tail slice, and the
-    packed arrays mirror the live dict/set walk order exactly, so the
-    emitted sequence is unchanged.
+    Runs the packed join (:meth:`PartialPathIndex.packed_program`) and
+    yields one plan pair's output at a time: one int AND against the
+    cut-vertex bit per probe, and the packed arrays mirror the live
+    dict/set walk order exactly, so the emitted sequence is that order.
     """
-    recorder = explain_active()
-    if recorder is not None:
-        yield from _enumerate_full_explained(index, recorder)
-        return
-    if obs.enabled():
-        yield from _enumerate_full_observed(index)
-        return
     if index.direct_edge:
         yield (index.s, index.t)
-    for _lpk, _rpk, probes, buckets in index.packed_program():
-        if probes is not None:
-            for lmask, lp, rmask, rtail, vcbit in probes:
-                if (lmask & rmask) == vcbit:
-                    yield lp + rtail
-            continue
-        for _ls, _le, vcbit, _rs, _re, lmasks, lpaths, rpairs in buckets:
-            for lmask, lp in zip(lmasks, lpaths):
-                for rmask, rtail in rpairs:
-                    if (lmask & rmask) == vcbit:
-                        yield lp + rtail
+    out: List[Path] = []
+    for _emitted in _join(index, out):
+        yield from out
+        out.clear()
 
 
 def enumerate_full_list(index: PartialPathIndex) -> List[Path]:
     """:func:`enumerate_full` materialized — the throughput fast path.
 
-    Semantically ``list(enumerate_full(index))`` (same paths, same
-    order), without the generator frame per path; on buckets whose
-    probe count reaches :data:`_NP_PROBE_MIN` and with numpy available,
-    the mask test runs as a blocked ``uint64`` matrix AND over the
-    packed level's word matrix instead of a scalar loop.
+    Same paths, same order, without a generator frame per path; on
+    buckets whose probe count reaches :data:`_NP_PROBE_MIN` and with
+    numpy available, the mask test runs as a blocked ``uint64`` matrix
+    AND over the packed level's word matrix instead of a scalar loop.
+    """
+    out: List[Path] = [(index.s, index.t)] if index.direct_edge else []
+    for _emitted in _join(index, out):
+        pass
+    return out
+
+
+def count_full(index: PartialPathIndex) -> int:
+    """Number of k-st paths: the join's mask hits, no path is built."""
+    return int(index.direct_edge) + sum(_join(index, None))
+
+
+def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
+    """The one full-join body, one program step at a time.
+
+    Appends each step's paths to ``out`` (with ``out=None`` it only
+    counts the mask hits) and yields the step's emit count: the growth
+    of ``out`` over the step.  With obs on or an EXPLAIN recorder
+    installed, the counts are reported once per plan pair at the end.
     """
     recorder = explain_active()
-    if recorder is not None:
-        return list(_enumerate_full_explained(index, recorder))
-    if obs.enabled():
-        return list(_enumerate_full_observed(index))
-    out: List[Path] = []
-    append = out.append
-    if index.direct_edge:
-        append((index.s, index.t))
+    observed = obs.enabled()
+    counting = out is None
+    sink: List[Path] = [] if out is None else out  # stays empty if counting
+    append = sink.append
+    program = index.packed_program()
+    emits: List[int] = []
     # The numpy lookup re-reads the fallback env var, so defer it until
     # a bucket is actually big enough to want the block probe.
     np: Any = None
     np_checked = False
-    for lpk, rpk, probes, buckets in index.packed_program():
-        if probes is not None:
-            out += [
-                lp + rtail
-                for lmask, lp, rmask, rtail, vcbit in probes
-                if (lmask & rmask) == vcbit
-            ]
-            continue
+    for _i, _j, _cut, _probes, lpk, rpk, flat, buckets in program:
+        before = len(sink)
+        hits = 0
+        if flat is not None:
+            if counting:
+                hits = sum([
+                    1
+                    for lmask, _lp, rmask, _rtail, vcbit in flat
+                    if (lmask & rmask) == vcbit
+                ])
+            else:
+                sink += [
+                    lp + rtail
+                    for lmask, lp, rmask, rtail, vcbit in flat
+                    if (lmask & rmask) == vcbit
+                ]
         for ls, le, vcbit, rs, re, lmasks, lpaths, rpairs in buckets:
             if (le - ls) * (re - rs) >= _NP_PROBE_MIN:
                 if not np_checked:
                     np = get_numpy()
                     np_checked = True
                 if np is not None:
-                    _np_block_probe(np, out, lpk, rpk, ls, le, rs, re, vcbit)
+                    hits += _np_block_probe(
+                        np, None if counting else sink,
+                        lpk, rpk, ls, le, rs, re, vcbit,
+                    )
                     continue
-            for lmask, lp in zip(lmasks, lpaths):
-                for rmask, rtail in rpairs:
-                    if (lmask & rmask) == vcbit:
-                        append(lp + rtail)
-    return out
+            # Nested loops, not comprehensions: most buckets are small,
+            # and a comprehension call per bucket costs more than it saves.
+            if counting:
+                for lmask in lmasks:
+                    for rmask, _rtail in rpairs:
+                        if (lmask & rmask) == vcbit:
+                            hits += 1
+            else:
+                for lmask, lp in zip(lmasks, lpaths):
+                    for rmask, rtail in rpairs:
+                        if (lmask & rmask) == vcbit:
+                            append(lp + rtail)
+        emitted = hits if counting else len(sink) - before
+        emits.append(emitted)
+        yield emitted
+    if observed or recorder is not None:
+        _record(index, program, emits, recorder)
+
+
+def _record(
+    index: PartialPathIndex,
+    program: List[JoinStep],
+    emits: List[int],
+    recorder: Optional[ExplainRecord],
+) -> None:
+    """Report one join's per-pair counts to obs and the EXPLAIN recorder.
+
+    Obs covers the program's steps (pairs whose two levels are both
+    non-empty); a recorder gets every plan pair, with zeros where a pair
+    has no step, and then obs reports that same set.
+    """
+    pairs = {
+        (step.i, step.j): (step.cut_vertices, step.probe_total, emitted)
+        for step, emitted in zip(program, emits)
+    }
+    if recorder is not None:
+        pairs = {pair: pairs.get(pair, (0, 0, 0)) for pair in index.plan}
+    for (i, j), (cut_vertices, probes, emitted) in pairs.items():
+        if recorder is not None:
+            recorder.record_join_pair(i, j, cut_vertices, probes, emitted)
+        obs.incr(f"enumeration.join.{i}x{j}.paths", emitted)
+        obs.observe("enumeration.join_pair_output", emitted)
+    obs.incr("enumeration.paths", int(index.direct_edge) + sum(emits))
 
 
 def _np_block_probe(
     np: Any,
-    out: List[Path],
+    out: Optional[List[Path]],
     lpk: PackedLevel,
     rpk: PackedLevel,
     ls: int,
@@ -121,12 +173,14 @@ def _np_block_probe(
     rs: int,
     re: int,
     vcbit: int,
-) -> None:
+) -> int:
     """Blocked vectorized mask probe for one large cut-vertex bucket.
 
     Emits exactly what the scalar loop emits, in the same (row-major)
     order: hit indexes come from ``nonzero`` on the per-block equality
     matrix, which scans rows (left paths) then columns (right paths).
+    With ``out=None`` it only counts the hit matrix.  Returns the hit
+    count.
     """
     width = (max(lpk.bits_used, rpk.bits_used) + 63) // 64
     lwords = lpk.words(np, width)
@@ -135,93 +189,21 @@ def _np_block_probe(
     left_paths = lpk.flat_paths
     right_tails = rpk.tails
     assert right_tails is not None
-    append = out.append
+    hit_count = 0
     rows_per_block = max(1, _NP_BLOCK_BYTES // (8 * width * max(1, re - rs)))
     for block_start in range(ls, le, rows_per_block):
         block_end = min(le, block_start + rows_per_block)
         block = lwords[block_start:block_end]
         hits = ((block[:, None, :] & rwords[None, :, :]) == target).all(axis=2)
+        if out is None:
+            hit_count += int(np.count_nonzero(hits))
+            continue
         li_idx, ri_idx = hits.nonzero()
+        hit_count += len(li_idx)
+        append = out.append
         for a, b in zip(li_idx.tolist(), ri_idx.tolist()):
             append(left_paths[block_start + a] + right_tails[rs + b])
-
-
-def _enumerate_full_observed(index: PartialPathIndex) -> Iterator[Path]:
-    """The :func:`enumerate_full` join with per-pair output accounting."""
-    total = 0
-    if index.direct_edge:
-        total += 1
-        yield (index.s, index.t)
-    left, right = index.left, index.right
-    for i, j in index.plan:
-        left_bucket = left.bucket(i)
-        right_bucket = right.bucket(j)
-        if not left_bucket or not right_bucket:
-            continue
-        if len(left_bucket) <= len(right_bucket):
-            middles = (v for v in left_bucket if v in right_bucket)
-        else:
-            middles = (v for v in right_bucket if v in left_bucket)
-        emitted = 0
-        for vc in middles:
-            right_paths = right_bucket[vc]
-            for lp in left_bucket[vc]:
-                lp_set = set(lp)
-                for rp in right_paths:
-                    if lp_set.isdisjoint(rp[1:]):
-                        emitted += 1
-                        yield lp + rp[1:]
-        obs.incr(f"enumeration.join.{i}x{j}.paths", emitted)
-        obs.observe("enumeration.join_pair_output", emitted)
-        total += emitted
-    obs.incr("enumeration.paths", total)
-
-
-def _enumerate_full_explained(
-    index: PartialPathIndex, recorder: ExplainRecord
-) -> Iterator[Path]:
-    """The :func:`enumerate_full` join with per-pair EXPLAIN accounting.
-
-    Records, for every plan pair, the cut-vertex count (middles present
-    on both sides), the probe count (``(lp, rp)`` combinations tested
-    for vertex-disjointness), and the emit count.  Also feeds the
-    regular obs counters when the gate is on, so ANALYZE under a live
-    service does not lose metrics.
-    """
-    observed = obs.enabled()
-    total = 0
-    if index.direct_edge:
-        total += 1
-        yield (index.s, index.t)
-    left, right = index.left, index.right
-    for i, j in index.plan:
-        left_bucket = left.bucket(i)
-        right_bucket = right.bucket(j)
-        cut_vertices = 0
-        probes = 0
-        emitted = 0
-        if left_bucket and right_bucket:
-            if len(left_bucket) <= len(right_bucket):
-                middles = (v for v in left_bucket if v in right_bucket)
-            else:
-                middles = (v for v in right_bucket if v in left_bucket)
-            for vc in middles:
-                cut_vertices += 1
-                right_paths = right_bucket[vc]
-                for lp in left_bucket[vc]:
-                    lp_set = set(lp)
-                    probes += len(right_paths)
-                    for rp in right_paths:
-                        if lp_set.isdisjoint(rp[1:]):
-                            emitted += 1
-                            yield lp + rp[1:]
-        recorder.record_join_pair(i, j, cut_vertices, probes, emitted)
-        if observed:
-            obs.incr(f"enumeration.join.{i}x{j}.paths", emitted)
-            obs.observe("enumeration.join_pair_output", emitted)
-        total += emitted
-    if observed:
-        obs.incr("enumeration.paths", total)
+    return hit_count
 
 
 def enumerate_delta(
@@ -268,11 +250,6 @@ def enumerate_delta(
                     for rp in delta_paths:
                         if lp_set.isdisjoint(rp[1:]):
                             yield lp + rp[1:]
-
-
-def count_full(index: PartialPathIndex) -> int:
-    """Number of k-st paths without materializing them as a list."""
-    return sum(1 for _ in enumerate_full(index))
 
 
 __all__ = [

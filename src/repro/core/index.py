@@ -18,7 +18,9 @@ so that joining is plain tuple concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.core.paths import Path, hops
 from repro.core.plan import JoinPlan
@@ -95,13 +97,29 @@ ProbeStep = Tuple[int, Path, int, Path, int]
 #: nested layout (and qualify for the numpy block probe instead).
 PACK_FLAT_STEP_MAX = 4096
 
-#: One resolved join step: the two packed levels (kept for the numpy
-#: word-matrix probe), the flat probe list (small steps; None
-#: otherwise), and the per-cut-vertex bucket ranges (big steps; empty
-#: when the flat list is used).
-JoinStep = Tuple[
-    PackedLevel, PackedLevel, Optional[List[ProbeStep]], List[BucketStep]
-]
+
+class JoinStep(NamedTuple):
+    """One resolved plan pair ``(i, j)`` of the join program.
+
+    Carries the pair's own accounting, so EXPLAIN and the obs counters
+    read it off the program instead of re-walking the buckets.
+    """
+
+    i: int
+    j: int
+    #: Cut vertices keyed on both levels.
+    cut_vertices: int
+    #: ``Σ_v |LP_i(v)|·|RP_j(v)|`` over those cut vertices: every
+    #: ``(lp, rp)`` combination the join tests.
+    probe_total: int
+    #: The two packed levels (kept for the numpy word-matrix probe).
+    left: PackedLevel
+    right: PackedLevel
+    #: The linearized probe list (small steps; None otherwise).
+    flat: Optional[List[ProbeStep]]
+    #: Per-cut-vertex bucket ranges (big steps; empty when ``flat`` is
+    #: used).
+    buckets: List[BucketStep]
 
 
 class PathBuckets:
@@ -412,7 +430,8 @@ class PartialPathIndex:
     def packed_program(self) -> List[JoinStep]:
         """The join plan resolved against the packed levels.
 
-        One step per plan pair with live buckets: the two packed levels
+        One :class:`JoinStep` per plan pair whose two levels are both
+        non-empty (a step may have no cut vertex): the two packed levels
         plus, per cut vertex present on both sides, its
         ``(left start, left end, vc bit, right start, right end)`` slot
         ranges — middle-vertex intersection order preserved (driven from
@@ -459,18 +478,18 @@ class PartialPathIndex:
                         list(zip(rpk.masks[rs:re], rpk.tails[rs:re])),
                     )
                 )
-            if not buckets:
-                continue
+            flat: Optional[List[ProbeStep]] = None
             if probe_total < PACK_FLAT_STEP_MAX:
-                probes: List[ProbeStep] = [
+                flat = [
                     (lmask, lp, rmask, rtail, vcbit)
                     for _ls, _le, vcbit, _rs, _re, lms, lps, rpairs in buckets
                     for lmask, lp in zip(lms, lps)
                     for rmask, rtail in rpairs
                 ]
-                program.append((lpk, rpk, probes, []))
-            else:
-                program.append((lpk, rpk, None, buckets))
+            program.append(JoinStep(
+                i, j, len(buckets), probe_total, lpk, rpk, flat,
+                [] if flat is not None else buckets,
+            ))
         self._program = (
             self.left,
             self.right,
@@ -506,6 +525,7 @@ class PartialPathIndex:
 
 __all__ = [
     "Bucket",
+    "JoinStep",
     "PackedLevel",
     "PathBuckets",
     "IndexMemoryStats",

@@ -276,7 +276,7 @@ def recording(
 
         with explain.recording() as rec:
             result = build_index(graph, s, t, k)
-            total = sum(1 for _ in enumerate_full(result.index))
+            total = count_full(result.index)
         assert rec.invariant_ok()
     """
     rec = record if record is not None else ExplainRecord()
@@ -465,29 +465,24 @@ def explain_query(
     """
     # Imported lazily: repro.core imports this module for the hooks.
     from repro.core.construction import build_index
-    from repro.core.enumeration import enumerate_full
+    from repro.core.enumeration import count_full
 
     with recording() as rec:
         started = time.perf_counter()
         result = build_index(graph, s, t, k)
         construction_seconds = time.perf_counter() - started
         index = result.index
+        # Read off the join program the enumeration runs; zeros for a
+        # plan pair with no step (one of its levels is empty).
+        steps = {(step.i, step.j): step for step in index.packed_program()}
         estimates: List[Dict[str, Any]] = []
         for i, j in index.plan:
-            left_bucket = index.left.bucket(i)
-            right_bucket = index.right.bucket(j)
-            if len(left_bucket) <= len(right_bucket):
-                middles = [v for v in left_bucket if v in right_bucket]
-            else:
-                middles = [v for v in right_bucket if v in left_bucket]
-            est = sum(
-                len(left_bucket[v]) * len(right_bucket[v]) for v in middles
-            )
+            step = steps.get((i, j))
             estimates.append({
                 "i": i,
                 "j": j,
-                "cut_vertices": len(middles),
-                "est_output": est,
+                "cut_vertices": step.cut_vertices if step else 0,
+                "est_output": step.probe_total if step else 0,
             })
         enumeration_seconds = 0.0
         if analyze:
@@ -497,7 +492,7 @@ def explain_query(
 
             started = time.perf_counter()
             with obs.span("enumeration.full"):
-                total = sum(1 for _ in enumerate_full(index))
+                total = count_full(index)
             enumeration_seconds = time.perf_counter() - started
             rec.record_total(total)
     planner_section: Optional[Dict[str, Any]] = None

@@ -1,16 +1,29 @@
 """Property-based tests (hypothesis) for the core invariants."""
 
+from contextlib import ExitStack
+from unittest import mock
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.core.enumeration as enumeration_mod
+import repro.core.index as index_mod
+from repro import obs
 from repro.baselines.bruteforce import path_set
 from repro.core.construction import build_index
 from repro.core.distance import DistanceMap
+from repro.core.enumeration import (
+    count_full,
+    enumerate_full,
+    enumerate_full_list,
+)
 from repro.core.enumerator import CpeEnumerator
 from repro.core.index import IndexMemoryStats, PathBuckets
 from repro.core.paths import hops, is_simple
 from repro.core.plan import balanced_plan
 from repro.graph.digraph import DynamicDiGraph
+from repro.obs.explain import recording
 
 SETTINGS = settings(
     max_examples=60,
@@ -238,3 +251,115 @@ def test_inverse_updates_restore_result(case):
     restored = cpe.insert_edge(u, v)
     assert set(deleted.paths) == set(restored.paths)
     assert set(cpe.startup()) == before
+
+
+def join_recount(index):
+    """Per plan pair ``(cut_vertices, probes, emitted)``, recounted over
+    the dict buckets with a set-based disjointness test."""
+    counts = {}
+    for i, j in index.plan:
+        left, right = index.left.bucket(i), index.right.bucket(j)
+        cut = [v for v in left if v in right]
+        counts[(i, j)] = (
+            len(cut),
+            sum(len(left[v]) * len(right[v]) for v in cut),
+            sum(
+                1
+                for v in cut
+                for lp in left[v]
+                for rp in right[v]
+                if set(lp).isdisjoint(rp[1:])
+            ),
+        )
+    return counts
+
+
+#: The three full-join entry points, each returning the path sequence.
+JOIN_ENTRY_POINTS = {
+    "list": enumerate_full_list,
+    "generator": lambda index: list(enumerate_full(index)),
+    "count": count_full,
+}
+
+
+def check_join_modes(graph, cpe):
+    """Every entry point under obs off / on / EXPLAIN: same answer, equal
+    to brute force, and per-pair accounting equal to the recount."""
+    index = cpe.index
+    reference = enumerate_full_list(index)
+    assert len(reference) == len(set(reference))
+    assert set(reference) == path_set(graph, cpe.s, cpe.t, cpe.k)
+    recount = join_recount(index)
+    live = {
+        (i, j): counts
+        for (i, j), counts in recount.items()
+        if index.left.bucket(i) and index.right.bucket(j)
+    }
+    for name, run in JOIN_ENTRY_POINTS.items():
+        want = len(reference) if name == "count" else reference
+        assert run(index) == want, name
+
+        previous = obs.set_enabled(True)
+        obs.reset()
+        try:
+            assert run(index) == want, name
+            snapshot = obs.snapshot()
+        finally:
+            obs.set_enabled(previous)
+            obs.reset()
+        counters = snapshot["counters"]
+        assert counters["enumeration.paths"] == len(reference)
+        joins = {
+            key: value
+            for key, value in counters.items()
+            if key.startswith("enumeration.join.")
+        }
+        assert joins == {
+            f"enumeration.join.{i}x{j}.paths": counts[2]
+            for (i, j), counts in live.items()
+        }
+        histogram = snapshot["histograms"].get(
+            "enumeration.join_pair_output", {"count": 0, "total": 0}
+        )
+        assert (histogram["count"], histogram["total"]) == (
+            len(live), sum(counts[2] for counts in live.values())
+        )
+
+        with recording() as rec:
+            assert run(index) == want, name
+        assert [
+            (p.i, p.j, p.cut_vertices, p.probes, p.emitted)
+            for p in rec.join_pairs
+        ] == [(i, j) + recount[(i, j)] for i, j in index.plan]
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [None, (0, 1), (0, enumeration_mod._NP_PROBE_MIN)],
+    ids=["default", "bucket-steps-block-probe", "bucket-steps-scalar"],
+)
+@given(update_streams())
+@SETTINGS
+def test_join_modes_agree_and_account_exactly(thresholds, case):
+    n, edges, s, t, k, stream = case
+    with ExitStack() as patches:
+        if thresholds is not None:
+            # (PACK_FLAT_STEP_MAX, _NP_PROBE_MIN) patched low, so small
+            # graphs also take bucket steps and, with numpy, the block
+            # probe.
+            flat_max, np_min = thresholds
+            patches.enter_context(
+                mock.patch.object(index_mod, "PACK_FLAT_STEP_MAX", flat_max)
+            )
+            patches.enter_context(
+                mock.patch.object(enumeration_mod, "_NP_PROBE_MIN", np_min)
+            )
+        g = build(n, edges)
+        cpe = CpeEnumerator(g, s, t, k)
+        check_join_modes(g, cpe)
+        for u, v in stream:
+            if g.has_edge(u, v):
+                cpe.delete_edge(u, v)
+            else:
+                cpe.insert_edge(u, v)
+            check_join_modes(g, cpe)
