@@ -67,11 +67,12 @@ def _hub_triples(graph):
     :data:`NUM_SOURCES` - 1 — the shape grouping thrives on.
     """
     hub = hot_queries(graph, 1, K, 0.10, seed=SEED)[0].s
-    dist = DistanceMap(graph, hub, horizon=K)
-    # BFS insertion order is deterministic, so these slices are too.
-    sources = [v for v, d in dist.known() if d <= 1][:NUM_SOURCES]
+    # The reference BFS lists vertices in discovery order, which is
+    # deterministic, so these slices are too.
+    dist = DistanceMap(graph, hub, horizon=K).recomputed().items()
+    sources = [v for v, d in dist if d <= 1][:NUM_SOURCES]
     targets = [
-        v for v, d in dist.known() if d >= 3 and v not in sources
+        v for v, d in dist if d >= 3 and v not in sources
     ][:NUM_TARGETS]
     if len(sources) < 2 or len(targets) < 2:
         raise RuntimeError(f"hub {hub!r} has too small a neighbourhood")

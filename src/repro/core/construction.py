@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.obs.explain import active as explain_active
-from repro.core.distance import DistanceMap, induced_vertices
+from repro.core.distance import MAX_HORIZON, DistanceMap, induced_vertices
 from repro.core.index import PartialPathIndex
 from repro.core.plan import JoinPlan
 from repro.graph.digraph import DynamicDiGraph, Vertex
@@ -97,6 +97,8 @@ def build_index(
         raise ValueError("s and t must differ")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k > MAX_HORIZON:
+        raise ValueError(f"k must be at most {MAX_HORIZON}")
     if forced_plan is not None and forced_plan.k != k:
         raise ValueError(f"forced plan is for k={forced_plan.k}, not {k}")
     if dist_s is not None and (dist_s.source != s or dist_s.horizon != k):
@@ -232,7 +234,9 @@ class _Builder:
         """Grow left partial paths from level ``level - 1`` to ``level``."""
         t = self.t
         budget = self.k - level  # max Dist_t[y] an admissible endpoint has
-        dist = self.dist_t.raw  # hot loop: raw map, absent == far
+        # Hot loop: Dist_t[y] is dist[ids[y]] (far beyond the horizon).
+        dist = self.dist_t.table()
+        ids = self.dist_t.interner.ids()
         out_neighbors = self.graph.out_neighbors
         bucket = self.left.level_dict(level)
         next_frontier: List[Tuple[Vertex, ...]] = []
@@ -241,7 +245,7 @@ class _Builder:
             tail = path[-1]
             for y in out_neighbors(tail):
                 expansions += 1
-                if y == t or dist.get(y, budget + 1) > budget or y in path:
+                if y == t or dist[ids[y]] > budget or y in path:
                     continue
                 extended = path + (y,)
                 paths = bucket.get(y)
@@ -268,7 +272,8 @@ class _Builder:
         """Grow right partial paths (stored forward) by prepending."""
         s = self.s
         budget = self.k - level
-        dist = self.dist_s.raw
+        dist = self.dist_s.table()
+        ids = self.dist_s.interner.ids()
         in_neighbors = self.graph.in_neighbors
         bucket = self.right.level_dict(level)
         next_frontier: List[Tuple[Vertex, ...]] = []
@@ -277,7 +282,7 @@ class _Builder:
             head = path[0]
             for x in in_neighbors(head):
                 expansions += 1
-                if x == s or dist.get(x, budget + 1) > budget or x in path:
+                if x == s or dist[ids[x]] > budget or x in path:
                     continue
                 extended = (x,) + path
                 paths = bucket.get(x)

@@ -17,16 +17,28 @@ edge insertions and deletions; this module implements:
   shortest-path parents) and then re-settled with a bucket-ordered
   unit-weight Dijkstra from the unaffected boundary.
 
-A ``Dist_t`` map is simply a ``DistanceMap`` built over the graph's
-reverse view.
+A map *is* a one-byte-per-vertex table indexed by the graph's interned
+vertex ids (``far`` marks a vertex beyond the horizon), and the build
+and both repairs walk the view's ``int_adjacency()`` id arrays; vertex
+labels appear only at the API boundary.  A ``Dist_t`` map is simply a
+``DistanceMap`` built over the graph's reverse view.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Set, Tuple
+from itertools import compress
+from operator import add
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.graph.digraph import Vertex
+from repro.graph.interning import VertexInterner
+
+#: Largest horizon a map accepts: ``far = horizon + 1`` must fit the
+#: one-byte table.
+MAX_HORIZON = 253
+
+Changes = Dict[Vertex, Tuple[int, int]]
 
 
 class DistanceMap:
@@ -35,76 +47,45 @@ class DistanceMap:
     Parameters
     ----------
     view:
-        Any object exposing ``out_neighbors`` / ``in_neighbors`` (a
-        :class:`~repro.graph.digraph.DynamicDiGraph` or its reverse view).
-        The view must reflect graph mutations *before* the corresponding
-        ``relax_insert`` / ``tighten_delete`` call.
+        A graph view exposing ``int_adjacency(reverse=False)`` and
+        ``out_neighbors`` (a :class:`~repro.graph.digraph.DynamicDiGraph`,
+        a :class:`~repro.graph.frozen.FrozenDiGraph`, or either one's
+        reverse view).  The view must reflect graph mutations *before*
+        the corresponding ``relax_insert`` / ``tighten_delete`` call.
     source:
-        The BFS source.
+        The BFS source.  It need not be registered in the view yet: an
+        unregistered source sits at distance 0 with nothing else known.
     horizon:
         Distances above ``horizon`` are reported as :attr:`far`
-        (= ``horizon + 1``).
+        (= ``horizon + 1``); at most :data:`MAX_HORIZON`.
     """
 
-    __slots__ = ("_view", "source", "horizon", "far", "_dist")
+    __slots__ = (
+        "_view", "source", "horizon", "far", "_interner", "_ids", "_table",
+    )
 
     def __init__(self, view, source: Vertex, horizon: int) -> None:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
+        if horizon > MAX_HORIZON:
+            raise ValueError(
+                f"horizon {horizon} exceeds the distance table's bound "
+                f"of {MAX_HORIZON}"
+            )
         self._view = view
         self.source = source
         self.horizon = horizon
-        self.far = horizon + 1
-        self._dist: Dict[Vertex, int] = {}
-        self._build()
-
-    def _build(self) -> None:
-        if self._build_from_arrays():
+        self.far = far = horizon + 1
+        adjacency, interner = view.int_adjacency()
+        self._interner: VertexInterner = interner
+        self._ids = interner.ids()
+        self._table = table = bytearray([far]) * len(interner)
+        source_id = self._ids.get(source, -1)
+        if source_id < 0:
             return
-        self._dist = {self.source: 0}
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            du = self._dist[u]
-            if du >= self.horizon:
-                continue
-            for v in self._view.out_neighbors(u):
-                if v not in self._dist:
-                    self._dist[v] = du + 1
-                    queue.append(v)
-
-    #: Unvisited sentinel of the flat BFS distance array (one byte).
-    _UNSEEN = 255
-
-    def _build_from_arrays(self) -> bool:
-        """Flat-array BFS over the interned adjacency plane.
-
-        When the view exposes ``int_adjacency()`` (a
-        :class:`~repro.graph.digraph.DynamicDiGraph` or its reverse
-        view), the hop-capped BFS runs over dense int ids with a
-        ``bytearray`` distance table instead of hashing vertices, and
-        the result is translated into ``_dist`` once, in discovery
-        order — so the maintained dict is byte-identical (content *and*
-        insertion order) to what the generic build produces.  Returns
-        False when the view has no interned plane (frozen/temporal
-        wrappers) or the horizon does not fit the byte table.
-        """
-        int_adjacency = getattr(self._view, "int_adjacency", None)
-        if int_adjacency is None or self.horizon >= self._UNSEEN - 1:
-            return False
-        adjacency, interner = int_adjacency()
-        source_id = interner.get(self.source)
-        if source_id < 0 or source_id >= len(adjacency):
-            # Unregistered source: same result as the generic build over
-            # an empty neighbor view.
-            self._dist = {self.source: 0}
-            return True
-        unseen = self._UNSEEN
-        table = bytearray([unseen]) * len(adjacency)
         table[source_id] = 0
         order = [source_id]
         head = 0
-        horizon = self.horizon
         while head < len(order):
             u = order[head]
             head += 1
@@ -113,102 +94,134 @@ class DistanceMap:
                 continue
             dv = du + 1
             for v in adjacency[u]:
-                if table[v] == unseen:
+                if table[v] == far:
                     table[v] = dv
                     order.append(v)
-        vertex_of = interner.vertices()
-        self._dist = {vertex_of[i]: table[i] for i in order}
-        return True
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def get(self, v: Vertex) -> int:
         """Distance from the source to ``v`` (``far`` if above horizon)."""
-        return self._dist.get(v, self.far)
+        iid = self._ids.get(v, -1)
+        table = self._table
+        if 0 <= iid < len(table):
+            return table[iid]
+        return 0 if v == self.source else self.far
 
     @property
-    def raw(self) -> Dict[Vertex, int]:
-        """The live distance mapping (absent means :attr:`far`).
+    def interner(self) -> VertexInterner:
+        """The view's interner, whose ids index :meth:`table`."""
+        return self._interner
 
-        Hot loops (the construction level search) probe this dict
-        directly instead of paying a method call per vertex; callers
-        must treat it as read-only.
+    def table(self) -> bytearray:
+        """The live distance table: ``table()[interner.ids()[v]] == get(v)``.
+
+        One byte per interned vertex id, :attr:`far` beyond the horizon.
+        The table first grows to cover vertices the view registered
+        since the last repair (they are far, except a newly registered
+        source, which is 0).  Hot loops read it directly; callers must
+        treat it as read-only.
         """
-        return self._dist
+        table = self._table
+        missing = len(self._ids) - len(table)
+        if missing > 0:
+            grown_from = len(table)
+            table.extend(bytes([self.far]) * missing)
+            source_id = self._ids.get(self.source, -1)
+            if source_id >= grown_from:
+                table[source_id] = 0
+        return table
 
     def known(self) -> Iterator[Tuple[Vertex, int]]:
-        """All ``(vertex, distance)`` pairs within the horizon."""
-        return iter(self._dist.items())
+        """All ``(vertex, distance)`` pairs within the horizon, in id order."""
+        far = self.far
+        vertex_of = self._interner.vertices()
+        for iid, d in enumerate(self.table()):
+            if d != far:
+                yield vertex_of[iid], d
+        if self.source not in self._ids:
+            yield self.source, 0
 
     def clone(self) -> "DistanceMap":
         """An independent copy sharing the graph view but not the state.
 
-        The copy's distance dict preserves BFS insertion order, so a
-        clone is indistinguishable from a freshly built map over the
-        same view — which is what lets one BFS pass seed many query
-        indexes (:mod:`repro.batching`): each consumer's maintainer
-        mutates its own clone, never the shared master.
+        A clone is indistinguishable from a freshly built map over the
+        same view, which is what lets one BFS pass seed many query
+        indexes (the service cache's miss path, :mod:`repro.batching`):
+        each consumer's maintainer mutates its own clone, never the
+        shared master.
         """
         twin = object.__new__(DistanceMap)
         twin._view = self._view
         twin.source = self.source
         twin.horizon = self.horizon
         twin.far = self.far
-        twin._dist = dict(self._dist)
+        twin._interner = self._interner
+        twin._ids = self._ids
+        twin._table = bytearray(self._table)
         return twin
 
     def __len__(self) -> int:
-        return len(self._dist)
+        table = self.table()
+        return (
+            len(table) - table.count(self.far) + (self.source not in self._ids)
+        )
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._dist
+        return self.get(v) != self.far
 
     def __repr__(self) -> str:
         return (
             f"DistanceMap(source={self.source!r}, horizon={self.horizon}, "
-            f"known={len(self._dist)})"
+            f"known={len(self)})"
         )
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def relax_insert(self, u: Vertex, v: Vertex) -> Dict[Vertex, Tuple[int, int]]:
+    def relax_insert(self, u: Vertex, v: Vertex) -> Changes:
         """Repair the map after edge ``(u, v)`` was inserted into the view.
 
         Implements the paper's Algorithm 3: if the new edge shortens the
         distance of ``v``, the decrease spreads from ``v`` in a tree form
         (Theorem 5), so a BFS over strictly-improving vertices suffices.
+        The BFS queue holds non-decreasing distances, so a vertex's first
+        decrease is its last.
 
         Returns ``{vertex: (old_distance, new_distance)}`` for every
         vertex whose distance decreased (``old_distance`` may be
-        :attr:`far`).
+        :attr:`far`), in BFS order.
         """
-        changed: Dict[Vertex, Tuple[int, int]] = {}
+        changed: Changes = {}
         start = self.get(u) + 1
         if start > self.horizon or start >= self.get(v):
             return changed
-        changed[v] = (self.get(v), start)
-        self._dist[v] = start
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            dw = self._dist[w]
-            if dw >= self.horizon:
+        table = self.table()
+        adjacency = self._view.int_adjacency()[0]
+        vertex_of = self._interner.vertices()
+        horizon = self.horizon
+        vid = self._ids[v]
+        changed[v] = (table[vid], start)
+        table[vid] = start
+        queue = [vid]
+        head = 0
+        while head < len(queue):
+            w = queue[head]
+            head += 1
+            dw = table[w]
+            if dw >= horizon:
                 continue
             cand = dw + 1
-            for y in self._view.out_neighbors(w):
-                old = self.get(y)
+            for y in adjacency[w]:
+                old = table[y]
                 if cand < old:
-                    if y not in changed:
-                        changed[y] = (old, cand)
-                    else:
-                        changed[y] = (changed[y][0], cand)
-                    self._dist[y] = cand
+                    changed[vertex_of[y]] = (old, cand)
+                    table[y] = cand
                     queue.append(y)
         return changed
 
-    def tighten_delete(self, u: Vertex, v: Vertex) -> Dict[Vertex, Tuple[int, int]]:
+    def tighten_delete(self, u: Vertex, v: Vertex) -> Changes:
         """Repair the map after edge ``(u, v)`` was deleted from the view.
 
         Implements the paper's Algorithm 5 in its textbook-correct form
@@ -225,110 +238,128 @@ class DistanceMap:
 
         Returns ``{vertex: (old_distance, new_distance)}`` for every
         vertex whose distance increased (``new_distance`` may be
-        :attr:`far`).
+        :attr:`far`): settled vertices in settle order, then the ones
+        that fell beyond the horizon.
         """
         old_v = self.get(v)
         if old_v > self.horizon or self.get(u) + 1 != old_v:
             return {}
+        table = self.table()
+        out_adjacency = self._view.int_adjacency()[0]
+        in_adjacency = self._view.int_adjacency(reverse=True)[0]
+        vid = self._ids[v]
         # Fast path: v keeps its distance through another parent.
-        if any(
-            self.get(x) + 1 == old_v for x in self._view.in_neighbors(v)
-        ):
+        if any(table[x] + 1 == old_v for x in in_adjacency[vid]):
             return {}
+        affected = self._affected_set(vid, table, out_adjacency, in_adjacency)
+        return self._resettle(affected, table, out_adjacency, in_adjacency)
 
-        affected = self._affected_set(v)
-        if not affected:
-            return {}
-        return self._resettle(affected)
-
-    def _affected_set(self, v: Vertex) -> Set[Vertex]:
-        """Phase 1: vertices whose distance must increase.
+    def _affected_set(
+        self,
+        vid: int,
+        table: bytearray,
+        out_adjacency: Sequence[Sequence[int]],
+        in_adjacency: Sequence[Sequence[int]],
+    ) -> Set[int]:
+        """Phase 1: ids of the vertices whose distance must increase.
 
         Candidates are explored along shortest-path tree edges and
-        classified in increasing old-distance order: a candidate is
-        affected iff it has no unaffected in-neighbor at distance one
-        less.  (When ``_affected_set`` is called, ``v`` is already known
-        to have lost all of its parents.)
+        classified one old-distance level at a time: a candidate at
+        distance ``d`` is affected iff it has no unaffected in-neighbor
+        at ``d - 1``, and only affected vertices propagate candidates to
+        level ``d + 1``.  (When ``_affected_set`` is called, ``vid`` is
+        already known to have lost all of its parents.)
         """
-        affected: Set[Vertex] = {v}
-        # Buckets by old distance; candidates at distance d are classified
-        # only after every vertex at distance d - 1.
-        buckets: Dict[int, List[Vertex]] = {}
-        seen: Set[Vertex] = {v}
-
-        def push_children(w: Vertex) -> None:
-            dw = self._dist[w]
-            if dw >= self.horizon:
-                return  # children would sit beyond the horizon (far already)
-            for y in self._view.out_neighbors(w):
-                if y in seen:
-                    continue
-                dy = self.get(y)
-                if dy == dw + 1:
-                    seen.add(y)
-                    buckets.setdefault(dy, []).append(y)
-
-        push_children(v)
-        d = self._dist[v]
-        max_d = self.horizon
-        while d <= max_d:
+        horizon = self.horizon
+        affected: Set[int] = {vid}
+        seen: Set[int] = {vid}
+        level = [vid]
+        d = table[vid]
+        # Children of a vertex at the horizon sit beyond it (far already).
+        while level and d < horizon:
+            parent_d = d
             d += 1
-            queue = buckets.pop(d, [])
-            for y in queue:
-                has_live_parent = any(
-                    self.get(x) + 1 == d and x not in affected
-                    for x in self._view.in_neighbors(y)
-                )
-                if not has_live_parent:
+            candidates: List[int] = []
+            for w in level:
+                for y in out_adjacency[w]:
+                    if table[y] == d and y not in seen:
+                        seen.add(y)
+                        candidates.append(y)
+            level = []
+            for y in candidates:
+                for x in in_adjacency[y]:
+                    if table[x] == parent_d and x not in affected:
+                        break  # a live shortest-path parent
+                else:
                     affected.add(y)
-                    push_children(y)
+                    level.append(y)
         return affected
 
-    def _resettle(self, affected: Set[Vertex]) -> Dict[Vertex, Tuple[int, int]]:
+    def _resettle(
+        self,
+        affected: Set[int],
+        table: bytearray,
+        out_adjacency: Sequence[Sequence[int]],
+        in_adjacency: Sequence[Sequence[int]],
+    ) -> Changes:
         """Phase 2: bucket Dijkstra over the affected set."""
         far = self.far
-        old: Dict[Vertex, int] = {w: self._dist[w] for w in affected}
-        tentative: Dict[Vertex, int] = {}
-        buckets: Dict[int, List[Vertex]] = {}
-
-        def offer(w: Vertex, d: int) -> None:
-            if d <= self.horizon and d < tentative.get(w, far):
-                tentative[w] = d
-                buckets.setdefault(d, []).append(w)
-
+        horizon = self.horizon
+        old: Dict[int, int] = {w: table[w] for w in affected}
+        tentative: Dict[int, int] = {}
+        buckets: Dict[int, List[int]] = {}
         for w in affected:
             best = far
-            for x in self._view.in_neighbors(w):
+            for x in in_adjacency[w]:
                 if x not in affected:
-                    dx = self.get(x)
-                    if dx + 1 < best:
-                        best = dx + 1
-            offer(w, best)
+                    dx = table[x] + 1
+                    if dx < best:
+                        best = dx
+            if best <= horizon:
+                tentative[w] = best
+                buckets.setdefault(best, []).append(w)
 
-        changed: Dict[Vertex, Tuple[int, int]] = {}
-        settled: Set[Vertex] = set()
-        for d in range(0, self.horizon + 1):
-            for w in buckets.pop(d, []):
-                if w in settled or tentative.get(w) != d:
+        vertex_of = self._interner.vertices()
+        changed: Changes = {}
+        settled: Set[int] = set()
+        for d in range(0, horizon + 1):
+            bucket = buckets.pop(d, None)
+            if bucket is None:
+                continue
+            nd = d + 1
+            for w in bucket:
+                if w in settled or tentative[w] != d:
                     continue
                 settled.add(w)
-                self._dist[w] = d
+                table[w] = d
                 if d != old[w]:
-                    changed[w] = (old[w], d)
-                for y in self._view.out_neighbors(w):
-                    if y in affected and y not in settled:
-                        offer(y, d + 1)
+                    changed[vertex_of[w]] = (old[w], d)
+                if nd > horizon:
+                    continue
+                for y in out_adjacency[w]:
+                    if (
+                        y in affected
+                        and y not in settled
+                        and nd < tentative.get(y, far)
+                    ):
+                        tentative[y] = nd
+                        buckets.setdefault(nd, []).append(y)
         for w in affected:
             if w not in settled:
-                del self._dist[w]
-                changed[w] = (old[w], far)
+                table[w] = far
+                changed[vertex_of[w]] = (old[w], far)
         return changed
 
     # ------------------------------------------------------------------
     # Verification helpers (used by tests)
     # ------------------------------------------------------------------
     def recomputed(self) -> Dict[Vertex, int]:
-        """A fresh BFS result for the current view (ground truth)."""
+        """A fresh BFS result for the current view (ground truth).
+
+        Label-keyed and run over the view's ``out_neighbors``, so it
+        shares no code with the table; its key order is BFS discovery
+        order.
+        """
         dist = {self.source: 0}
         queue = deque([self.source])
         while queue:
@@ -344,24 +375,36 @@ class DistanceMap:
 
     def is_consistent(self) -> bool:
         """Whether the maintained map equals a fresh BFS."""
-        return self._dist == self.recomputed()
+        return dict(self.known()) == self.recomputed()
 
 
 def induced_vertices(dist_s: DistanceMap, dist_t: DistanceMap, k: int) -> Set[Vertex]:
     """The paper's ``V_sub`` (Theorem 4): vertices on some k-hop s-t walk.
 
     ``{v : Dist_s[v] + Dist_t[v] <= k}`` — every k-st path lies entirely
-    within the subgraph induced by this set.
+    within the subgraph induced by this set.  Both maps must be over
+    views of one graph (they share its interner).
     """
-    smaller, larger = (
-        (dist_s, dist_t) if len(dist_s) <= len(dist_t) else (dist_t, dist_s)
+    interner = dist_s.interner
+    if dist_t.interner is not interner:
+        raise ValueError("dist_s and dist_t are over different graphs")
+    inside = set(
+        compress(
+            interner.vertices(),
+            map(k.__ge__, map(add, dist_s.table(), dist_t.table())),
+        )
     )
-    return {
-        v for v, d in smaller.known() if d + larger.get(v) <= k
-    }
+    # An endpoint the graph has not registered yet holds no table slot.
+    for endpoint in (dist_s.source, dist_t.source):
+        if endpoint in interner:
+            continue
+        if dist_s.get(endpoint) + dist_t.get(endpoint) <= k:
+            inside.add(endpoint)
+    return inside
 
 
 __all__ = [
+    "MAX_HORIZON",
     "DistanceMap",
     "induced_vertices",
 ]

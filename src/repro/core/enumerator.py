@@ -205,40 +205,40 @@ class CpeEnumerator:
     # ------------------------------------------------------------------
     def insert_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
         """Process ``e(u, v, +)`` and return exactly the new k-st paths."""
-        update = EdgeUpdate(u, v, True)
-        started = time.perf_counter()
-        record = self._maintainer.insert_edge(u, v)
-        maintained = time.perf_counter()
-        if not record.changed:
-            return UpdateResult(update, changed=False, record=record)
-        paths = list(
-            enumerate_delta(
-                self._index,
-                record.left_delta,
-                record.right_delta,
-                record.direct_changed,
-            )
-        )
-        finished = time.perf_counter()
-        return self._note_update(UpdateResult(
-            update,
-            changed=True,
-            paths=paths,
-            maintain_seconds=maintained - started,
-            enumerate_seconds=finished - maintained,
-            record=record,
-        ))
+        return self._update(EdgeUpdate(u, v, True), False)
 
     def delete_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
         """Process ``e(u, v, -)`` and return exactly the deleted paths."""
-        update = EdgeUpdate(u, v, False)
+        return self._update(EdgeUpdate(u, v, False), False)
+
+    def _update(
+        self, update: EdgeUpdate, graph_already_updated: bool
+    ) -> UpdateResult:
+        """Repair the index for one update and run its update enumeration.
+
+        An update that fails the relevance test (``record.relevant`` is
+        False) repaired only the distance maps: its deltas are empty, so
+        neither the delta join nor the removal pass runs.
+        """
         started = time.perf_counter()
-        record = self._maintainer.delete_edge(u, v)
+        repair = (
+            self._maintainer.insert_edge
+            if update.insert
+            else self._maintainer.delete_edge
+        )
+        record = repair(update.u, update.v, graph_already_updated)
         maintained = time.perf_counter()
         if not record.changed:
             return UpdateResult(update, changed=False, record=record)
-        # The update enumeration runs on the still-intact index; the
-        # removals are applied afterwards (paper, Section IV-B2).
+        if not record.relevant:
+            return self._note_update(UpdateResult(
+                update,
+                changed=True,
+                maintain_seconds=maintained - started,
+                record=record,
+            ))
+        # For a deletion the update enumeration runs on the still-intact
+        # index; the removals are applied afterwards (paper, Section IV-B2).
         paths = list(
             enumerate_delta(
                 self._index,
@@ -248,7 +248,8 @@ class CpeEnumerator:
             )
         )
         enumerated = time.perf_counter()
-        self._maintainer.apply_removals(record)
+        if not record.insert:
+            self._maintainer.apply_removals(record)
         finished = time.perf_counter()
         return self._note_update(UpdateResult(
             update,
@@ -293,37 +294,7 @@ class CpeEnumerator:
         its changed paths.  Raises :class:`ValueError` if the graph does
         not reflect the update.
         """
-        started = time.perf_counter()
-        record = (
-            self._maintainer.insert_edge(
-                update.u, update.v, graph_already_updated=True
-            )
-            if update.insert
-            else self._maintainer.delete_edge(
-                update.u, update.v, graph_already_updated=True
-            )
-        )
-        maintained = time.perf_counter()
-        paths = list(
-            enumerate_delta(
-                self._index,
-                record.left_delta,
-                record.right_delta,
-                record.direct_changed,
-            )
-        )
-        enumerated = time.perf_counter()
-        if not record.insert:
-            self._maintainer.apply_removals(record)
-        finished = time.perf_counter()
-        return self._note_update(UpdateResult(
-            update,
-            changed=True,
-            paths=paths,
-            maintain_seconds=(maintained - started) + (finished - enumerated),
-            enumerate_seconds=enumerated - maintained,
-            record=record,
-        ))
+        return self._update(update, True)
 
     def apply_stream(self, updates) -> List[UpdateResult]:
         """Process a sequence of updates, one result per update."""

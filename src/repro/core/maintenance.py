@@ -35,6 +35,14 @@ Deletions are **recorded first and applied after** the update
 enumeration ran on the intact index, matching the paper's "keep the
 paths that should be removed and delete them after finishing the update
 enumeration".
+
+**The relevance gate.**  Next to map repair, both repairs evaluate the
+paper's test ``Dist_s[u] + 1 + Dist_t[v] <= k``.  When it fails, only
+the distance maps are repaired: no partial path can traverse
+``(u, v)`` or change admissibility through it (DESIGN.md §3 has the
+proof), so the index is left untouched and the record says so
+(``relevant=False``).  Toggling ``(u, v)`` moves neither term, so the
+test reads the same before and after map repair.
 """
 
 from __future__ import annotations
@@ -58,11 +66,14 @@ class UpdateRecord:
     For an insertion the buckets hold ``LP'``/``RP'`` (added paths); for
     a deletion they hold the pending removals.  ``direct_changed`` flags
     the length-1 path ``(s, t)``; ``changed`` is False when the update
-    was a no-op (edge already present / already absent).
+    was a no-op (edge already present / already absent).  ``relevant``
+    is False when the relevance test failed: only the distance maps
+    were repaired, the deltas are empty and the index is untouched.
     """
 
     insert: bool
     changed: bool
+    relevant: bool = True
     left_delta: PathBuckets = field(default_factory=PathBuckets)
     right_delta: PathBuckets = field(default_factory=PathBuckets)
     direct_changed: bool = False
@@ -135,6 +146,9 @@ class IndexMaintainer:
         changed_t = self.dist_t.relax_insert(v, u)
         record.relaxed_s = len(changed_s)
         record.relaxed_t = len(changed_t)
+        obs.incr("maintenance.relaxed", record.relaxed_s + record.relaxed_t)
+        if not self._relevant(u, v):
+            return self._untouched(record)
         if self.k < 2:
             return record
 
@@ -144,7 +158,6 @@ class IndexMaintainer:
         self._new_edge_left(u, v, record.left_delta)
         if obs.enabled():
             obs.incr("maintenance.inserts")
-            obs.incr("maintenance.relaxed", record.relaxed_s + record.relaxed_t)
             obs.observe(
                 "maintenance.insert_delta_partials",
                 record.delta_partial_paths,
@@ -201,7 +214,8 @@ class IndexMaintainer:
         completion within ``hi`` hops.
         """
         t, s = self.t, self.s
-        dist_t = self.dist_t
+        dist = self.dist_t.table()  # Dist_t[y] is dist[ids[y]]
+        ids = self.dist_t.interner.ids()
         out_neighbors = self.graph.out_neighbors
         results: List[Path] = []
         stack: List[Path] = [(start,)]
@@ -217,14 +231,15 @@ class IndexMaintainer:
                 continue
             nxt = length + 1
             for y in out_neighbors(tail):
-                if y != s and y not in path and nxt + dist_t.get(y) <= hi:
+                if y != s and y not in path and nxt + dist[ids[y]] <= hi:
                     stack.append(path + (y,))
         return results
 
     def _backward_paths_from_s(self, end: Vertex, lo: int, hi: int) -> List[Path]:
         """Simple ``s -> end`` paths with ``lo <= hops <= hi``, avoiding t."""
         s, t = self.s, self.t
-        dist_s = self.dist_s
+        dist = self.dist_s.table()  # Dist_s[x] is dist[ids[x]]
+        ids = self.dist_s.interner.ids()
         in_neighbors = self.graph.in_neighbors
         results: List[Path] = []
         stack: List[Path] = [(end,)]
@@ -240,7 +255,7 @@ class IndexMaintainer:
                 continue
             nxt = length + 1
             for x in in_neighbors(head):
-                if x != t and x not in path and nxt + dist_s.get(x) <= hi:
+                if x != t and x not in path and nxt + dist[ids[x]] <= hi:
                     stack.append(path + (x,))
         return results
 
@@ -271,6 +286,8 @@ class IndexMaintainer:
                 bases.append((u,) + rp)
         in_neighbors = self.graph.in_neighbors
         s = self.s
+        dist = dist_s.table()  # Dist_s[x] is dist[ids[x]]
+        ids = dist_s.interner.ids()
         stack: List[Path] = []
         for base in bases:
             if self.index.add_right(base):
@@ -282,7 +299,7 @@ class IndexMaintainer:
             if nxt > r:
                 continue
             for x in in_neighbors(path[0]):
-                if x == s or x in path or nxt + dist_s.get(x) > k:
+                if x == s or x in path or nxt + dist[ids[x]] > k:
                     continue
                 extended = (x,) + path
                 if self.index.add_right(extended):
@@ -311,6 +328,8 @@ class IndexMaintainer:
                 bases.append(lp + (v,))
         out_neighbors = self.graph.out_neighbors
         t = self.t
+        dist = dist_t.table()  # Dist_t[y] is dist[ids[y]]
+        ids = dist_t.interner.ids()
         stack: List[Path] = []
         for base in bases:
             if self.index.add_left(base):
@@ -322,13 +341,34 @@ class IndexMaintainer:
             if nxt > l:
                 continue
             for y in out_neighbors(path[-1]):
-                if y == t or y in path or nxt + dist_t.get(y) > k:
+                if y == t or y in path or nxt + dist[ids[y]] > k:
                     continue
                 extended = path + (y,)
                 if self.index.add_left(extended):
                     delta.add(y, extended)
                 stack.append(extended)
         return
+
+    # ==================================================================
+    # The relevance gate
+    # ==================================================================
+    def _relevant(self, u: Vertex, v: Vertex) -> bool:
+        """The paper's test ``Dist_s[u] + 1 + Dist_t[v] <= k``.
+
+        When it fails no partial path of the index can traverse
+        ``(u, v)`` or change admissibility through it.  Toggling
+        ``(u, v)`` changes neither ``Dist_s[u]`` (a shortest ``s -> u``
+        walk never leaves ``u``) nor ``Dist_t[v]`` (a shortest
+        ``v -> t`` walk never enters ``v``), so the result is the same
+        before and after map repair.
+        """
+        return self.dist_s.get(u) + 1 + self.dist_t.get(v) <= self.k
+
+    def _untouched(self, record: UpdateRecord) -> UpdateRecord:
+        """Close the record of an update whose maps alone were repaired."""
+        record.relevant = False
+        obs.incr("maintenance.untouched")
+        return record
 
     # ==================================================================
     # Deletion
@@ -357,7 +397,9 @@ class IndexMaintainer:
         if u == self.s and v == self.t and self.index.direct_edge:
             record.direct_changed = True
 
-        if self.k >= 2:
+        # The test reads the same before the maps are repaired as after.
+        relevant = self._relevant(u, v)
+        if relevant and self.k >= 2:
             self._mark_edge_using_left(u, v, record.left_delta)
             self._mark_edge_using_right(u, v, record.right_delta)
 
@@ -365,16 +407,17 @@ class IndexMaintainer:
         changed_t = self.dist_t.tighten_delete(v, u)
         record.tightened_s = len(changed_s)
         record.tightened_t = len(changed_t)
+        obs.incr(
+            "maintenance.tightened", record.tightened_s + record.tightened_t
+        )
+        if not relevant:
+            return self._untouched(record)
 
         if self.k >= 2:
             self._mark_inadmissible_right(changed_s, record.right_delta)
             self._mark_inadmissible_left(changed_t, record.left_delta)
         if obs.enabled():
             obs.incr("maintenance.deletes")
-            obs.incr(
-                "maintenance.tightened",
-                record.tightened_s + record.tightened_t,
-            )
             obs.observe(
                 "maintenance.delete_delta_partials",
                 record.delta_partial_paths,

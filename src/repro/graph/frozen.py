@@ -8,6 +8,11 @@ tuple adjacency exposing the same read API the search code uses
 (``out_neighbors`` / ``in_neighbors`` / ``has_edge`` / ``vertices``),
 so every enumerator in the repository accepts it unchanged.
 
+Like the live graph it carries an interned plane: its own
+:class:`~repro.graph.interning.VertexInterner` (ids in vertex order) and
+tuple-of-id adjacency behind ``int_adjacency()``, which is what the
+byte-table distance maps walk.
+
 It deliberately has no mutation API: dynamic algorithms need the live
 graph.  ``thaw()`` converts back.
 """
@@ -17,14 +22,22 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, Tuple
 
 from repro.graph.digraph import DynamicDiGraph, Edge, Vertex
+from repro.graph.interning import VertexInterner
 
 _EMPTY: Tuple[Vertex, ...] = ()
+
+#: Interned adjacency of a snapshot: ``plane[i]`` holds the neighbor ids
+#: of the vertex with id ``i``.
+IdPlane = Tuple[Tuple[int, ...], ...]
 
 
 class FrozenDiGraph:
     """An immutable adjacency snapshot of a :class:`DynamicDiGraph`."""
 
-    __slots__ = ("_out", "_in", "_out_sets", "_num_edges")
+    __slots__ = (
+        "_out", "_in", "_out_sets", "_num_edges",
+        "_interner", "_out_plane", "_in_plane",
+    )
 
     def __init__(self, graph: DynamicDiGraph) -> None:
         self._out: Dict[Vertex, Tuple[Vertex, ...]] = {
@@ -37,6 +50,14 @@ class FrozenDiGraph:
             v: frozenset(succ) for v, succ in self._out.items()
         }
         self._num_edges = graph.num_edges
+        self._interner = VertexInterner(self._out)
+        ids = self._interner.ids()
+        self._out_plane: IdPlane = tuple(
+            tuple(ids[w] for w in succ) for succ in self._out.values()
+        )
+        self._in_plane: IdPlane = tuple(
+            tuple(ids[w] for w in pred) for pred in self._in.values()
+        )
 
     # ------------------------------------------------------------------
     # Read API (the subset every search algorithm uses)
@@ -90,6 +111,18 @@ class FrozenDiGraph:
         """Total degree in the snapshot."""
         return self.out_degree(v) + self.in_degree(v)
 
+    def int_adjacency(
+        self, reverse: bool = False
+    ) -> Tuple[IdPlane, VertexInterner]:
+        """The interned adjacency: ``(id_plane, interner)``.
+
+        Same contract as
+        :meth:`~repro.graph.digraph.DynamicDiGraph.int_adjacency`:
+        out-neighbor ids by default, in-neighbor ids with
+        ``reverse=True``, in the tuple views' neighbor order.
+        """
+        return (self._in_plane if reverse else self._out_plane), self._interner
+
     # ------------------------------------------------------------------
     def reverse_view(self) -> "_FrozenReverse":
         """The reverse snapshot, zero-copy."""
@@ -135,6 +168,12 @@ class _FrozenReverse:
     def has_vertex(self, v: Vertex) -> bool:
         """Same vertex set."""
         return self._g.has_vertex(v)
+
+    def int_adjacency(
+        self, reverse: bool = False
+    ) -> Tuple[IdPlane, VertexInterner]:
+        """The snapshot's interned adjacency with in/out roles swapped."""
+        return self._g.int_adjacency(not reverse)
 
     def vertices(self) -> Iterator[Vertex]:
         """Same vertex set."""

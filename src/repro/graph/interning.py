@@ -14,13 +14,14 @@ hashable vertices and that dense id space:
   equivalence gates (parallel shards, batching) valid across replicas.
 
 The graph layer owns one interner per :class:`~repro.graph.digraph.DynamicDiGraph`
-(every registered vertex is interned); the index layer reuses the same
-class for its private bit-id space (see ``PartialPathIndex``).
+and per :class:`~repro.graph.frozen.FrozenDiGraph` snapshot (every
+registered vertex is interned); the index layer reuses the same class
+for its private bit-id space (see ``PartialPathIndex``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
 
 Vertex = Hashable
 
@@ -75,6 +76,15 @@ class VertexInterner:
         array-backed hot paths index it per emitted vertex.
         """
         return self._vertices
+
+    def ids(self) -> Mapping[Vertex, int]:
+        """The live ``vertex -> id`` mapping (``ids()[v] == id_of(v)``).
+
+        The read-only counterpart of :meth:`vertices`: hot loops that
+        translate many vertices subscript it directly instead of paying
+        a method call per vertex.  It grows as vertices are interned.
+        """
+        return self._ids
 
     # ------------------------------------------------------------------
     # Copies

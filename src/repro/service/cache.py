@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 from repro import obs
 from repro.obs import events
 from repro.core.construction import build_index
-from repro.core.distance import DistanceMap
+from repro.core.distance import MAX_HORIZON, DistanceMap
 from repro.core.enumerator import CpeEnumerator, UpdateResult
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate, Vertex
 
@@ -41,9 +41,9 @@ CacheKey = Tuple[Vertex, Vertex, int]
 
 #: Fixed per-entry overhead charged on top of the index-proportional
 #: cost: the join plan and the cache's own per-key records.  The two
-#: distance maps are *not* charged, though they are usually the larger
-#: part of an entry: for top-1% pairs of WG at scale 1.0 and k=7, the
-#: maps hold ≈440 KB per entry against ≈55-60 KB charged.
+#: distance maps are *not* charged: they are one byte per graph vertex
+#: each, about 2 x |V| bytes per entry (≈18 KB for WG at scale 1.0,
+#: against ≈55-60 KB charged for a top-1% pair's index at k=7).
 ENTRY_BASE_BYTES = 256
 
 
@@ -169,7 +169,8 @@ class IndexCache:
         took (``hit`` / ``miss`` / ``bypass``) explicitly, so callers
         never have to infer it from post-call cache state.  An invalid
         query (``s == t`` or ``k < 0``) raises :class:`ValueError`
-        before any counter, metric or event moves.
+        before any counter, metric or event moves, and so does a ``k``
+        above :data:`~repro.core.distance.MAX_HORIZON`.
 
         ``build`` substitutes the miss-path construction — the hook
         :mod:`repro.batching` uses to inject shared distance maps.  It
@@ -182,6 +183,8 @@ class IndexCache:
             raise ValueError("s and t must differ")
         if k < 0:
             raise ValueError("k must be non-negative")
+        if k > MAX_HORIZON:
+            raise ValueError(f"k must be at most {MAX_HORIZON}")
         key = (s, t, k)
         entry = self._entries.get(key)
         if entry is not None:

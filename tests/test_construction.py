@@ -6,7 +6,8 @@ import pytest
 
 from repro.baselines.bruteforce import path_set
 from repro.core.construction import build_index
-from repro.core.distance import DistanceMap
+from repro.core.distance import MAX_HORIZON, DistanceMap
+from repro.core.enumerator import CpeEnumerator
 from repro.core.paths import hops, is_simple
 from repro.core.plan import balanced_plan
 from repro.graph.digraph import DynamicDiGraph
@@ -17,6 +18,14 @@ class TestBasics:
     def test_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):
             build_index(DynamicDiGraph([(0, 1)]), 0, 0, 3)
+
+    def test_rejects_k_beyond_the_distance_table_bound(self):
+        g = DynamicDiGraph([(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="253"):
+            build_index(g, 0, 2, MAX_HORIZON + 1)
+        with pytest.raises(ValueError, match="253"):
+            CpeEnumerator(g, 0, 2, MAX_HORIZON + 1)
+        assert CpeEnumerator(g, 0, 2, MAX_HORIZON).startup() == [(0, 1, 2)]
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):

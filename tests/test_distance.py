@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.core.distance import DistanceMap, induced_vertices
+from repro.core.distance import MAX_HORIZON, DistanceMap, induced_vertices
 from repro.graph.digraph import DynamicDiGraph
+from repro.graph.frozen import FrozenDiGraph
 from tests.conftest import make_random_graph
 
 
@@ -46,6 +47,80 @@ class TestBuild:
         d = DistanceMap(chain(3), 0, horizon=5)
         assert 2 in d
         assert len(d) == 3
+
+    def test_horizon_beyond_a_byte_rejected(self):
+        assert DistanceMap(chain(2), 0, horizon=MAX_HORIZON).far == 254
+        with pytest.raises(ValueError, match="253"):
+            DistanceMap(chain(2), 0, horizon=MAX_HORIZON + 1)
+
+
+class TestTable:
+    def test_known_follows_id_order(self):
+        g = DynamicDiGraph([("a", "b"), ("c", "a")], vertices=["c", "b"])
+        d = DistanceMap(g, "c", horizon=5)
+        # ids: c=0, b=1, a=2 (registration order), not BFS order
+        assert list(d.known()) == [("c", 0), ("b", 2), ("a", 1)]
+        assert d.recomputed() == {"c": 0, "a": 1, "b": 2}
+        ids = d.interner.ids()
+        assert [d.table()[ids[v]] for v in "abc"] == [1, 2, 0]
+
+    def test_source_registered_after_build(self):
+        g = chain(3)
+        d = DistanceMap(g, "s", horizon=4)
+        assert d.get("s") == 0 and "s" in d
+        assert list(d.known()) == [("s", 0)] and len(d) == 1
+        g.add_edge("s", 0)
+        changed = d.relax_insert("s", 0)
+        assert changed == {0: (d.far, 1), 1: (d.far, 2), 2: (d.far, 3)}
+        assert len(d) == 4
+        assert d.is_consistent()
+
+    def test_vertices_registered_after_build_start_far(self):
+        g = chain(3)
+        d = DistanceMap(g, 0, horizon=5)
+        g.add_edge("x", "y")
+        assert d.get("x") == d.get("y") == d.far
+        assert d.relax_insert("x", "y") == {}
+        g.add_edge(2, "x")
+        assert d.relax_insert(2, "x") == {"x": (d.far, 3), "y": (d.far, 4)}
+        assert d.is_consistent()
+
+    def test_clone_owns_its_table(self):
+        g = chain(4)
+        d = DistanceMap(g, 0, horizon=5)
+        twin = d.clone()
+        assert twin.table() == d.table() and twin.table() is not d.table()
+        g.remove_edge(1, 2)
+        twin.tighten_delete(1, 2)
+        assert twin.is_consistent()
+        assert d.get(3) == 3 and twin.get(3) == twin.far
+
+
+class TestFrozenViews:
+    def test_frozen_and_reverse_views_match_live_maps(self):
+        rng = random.Random(44)
+        for _ in range(30):
+            g = make_random_graph(rng, max_edges=20)
+            frozen = FrozenDiGraph(g)
+            source = rng.choice(list(g.vertices()))
+            horizon = rng.randint(1, 5)
+            views = (
+                (g, frozen),
+                (g.reverse_view(), frozen.reverse_view()),
+            )
+            for live_view, frozen_view in views:
+                live = DistanceMap(live_view, source, horizon)
+                snap = DistanceMap(frozen_view, source, horizon)
+                assert snap.is_consistent()
+                assert list(snap.known()) == list(live.known())
+
+    def test_induced_vertices_on_frozen_views(self):
+        frozen = FrozenDiGraph(
+            DynamicDiGraph([(0, 1), (1, 2), (2, 3), (0, 9)])
+        )
+        ds = DistanceMap(frozen, 0, horizon=3)
+        dt = DistanceMap(frozen.reverse_view(), 3, horizon=3)
+        assert induced_vertices(ds, dt, 3) == {0, 1, 2, 3}
 
 
 class TestRelaxInsert:
@@ -187,3 +262,9 @@ class TestInducedVertices:
         ds = DistanceMap(g, 0, horizon=4)
         dt = DistanceMap(g.reverse_view(), 5, horizon=4)
         assert induced_vertices(ds, dt, 4) == set()
+
+    def test_maps_over_different_graphs_rejected(self):
+        ds = DistanceMap(chain(3), 0, horizon=3)
+        dt = DistanceMap(chain(3).reverse_view(), 2, horizon=3)
+        with pytest.raises(ValueError):
+            induced_vertices(ds, dt, 3)

@@ -182,7 +182,7 @@ class TestVerify:
 
     def test_detects_broken_distance_map(self, diamond):
         cpe = CpeEnumerator(diamond, 0, 3, 3)
-        cpe._dist_s._dist[1] = 99  # corrupt
+        cpe.dist_s.table()[cpe.graph.interner.id_of(1)] = 99  # corrupt
         findings = verify_enumerator(cpe)
         assert any("Dist_s" in f for f in findings)
 

@@ -304,3 +304,56 @@ def test_render_profile_contains_stages_and_counters():
 def test_render_profile_empty_snapshot():
     text = obs.render_profile(obs.snapshot())
     assert isinstance(text, str)
+
+
+# ---------------------------------------------------------------------------
+# Maintenance counters and the relevance gate
+# ---------------------------------------------------------------------------
+
+
+def test_relevance_gate_moves_the_documented_counters():
+    from repro.core.enumerator import CpeEnumerator
+    from repro.graph.digraph import DynamicDiGraph
+
+    # q(0, 3, 3) over 0 -> {1, 2} -> 3 -> 4 -> 5
+    graph = DynamicDiGraph([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    cpe = CpeEnumerator(graph, 0, 3, 3)
+    obs.enable()
+
+    def counters():
+        snap = obs.snapshot()["counters"]
+        return {
+            name: snap.get(f"maintenance.{name}", 0)
+            for name in ("inserts", "deletes", "untouched", "relaxed",
+                         "tightened")
+        }
+
+    # Dist_s[1] + 1 + Dist_t[2] = 3 <= 3: a full index repair.
+    relevant = cpe.insert_edge(1, 2)
+    assert relevant.record.relevant and relevant.paths == [(0, 1, 2, 3)]
+    assert counters() == {
+        "inserts": 1, "deletes": 0, "untouched": 0, "relaxed": 0,
+        "tightened": 0,
+    }
+    # Dist_s[4] + 1 + Dist_t[1] = 5 > 3: maps only (Dist_t[4] drops
+    # from far to 2), no index repair, no delta join.
+    index_before = (cpe.index.left.as_dict(), cpe.index.right.as_dict())
+    gated = cpe.insert_edge(4, 1)
+    assert not gated.record.relevant and gated.changed and gated.paths == []
+    assert gated.record.relaxed_t == 1 and cpe.dist_t.get(4) == 2
+    assert (cpe.index.left.as_dict(), cpe.index.right.as_dict()) == (
+        index_before
+    )
+    assert counters() == {
+        "inserts": 1, "deletes": 0, "untouched": 1, "relaxed": 1,
+        "tightened": 0,
+    }
+    gated = cpe.delete_edge(4, 1)
+    assert not gated.record.relevant and cpe.dist_t.get(4) == cpe.dist_t.far
+    relevant = cpe.delete_edge(1, 2)
+    assert relevant.record.relevant and relevant.paths == [(0, 1, 2, 3)]
+    assert counters() == {
+        "inserts": 1, "deletes": 1, "untouched": 2, "relaxed": 1,
+        "tightened": 1,
+    }
+    assert cpe.dist_s.is_consistent() and cpe.dist_t.is_consistent()

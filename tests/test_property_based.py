@@ -20,9 +20,10 @@ from repro.core.enumeration import (
 )
 from repro.core.enumerator import CpeEnumerator
 from repro.core.index import IndexMemoryStats, PathBuckets
+from repro.core.monitor import MultiPairMonitor
 from repro.core.paths import hops, is_simple
 from repro.core.plan import balanced_plan
-from repro.graph.digraph import DynamicDiGraph
+from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
 from repro.obs.explain import recording
 
 SETTINGS = settings(
@@ -129,6 +130,85 @@ def test_distance_maps_stay_exact(case):
             g.add_edge(u, v)
             d.relax_insert(u, v)
         assert d.is_consistent()
+
+
+@st.composite
+def labelled_monitor_streams(draw):
+    """String labels whose interned ids differ from any label order.
+
+    ``n`` labels are registered up front in shuffled order; ``extra``
+    more first appear in the update stream, so the graph registers them
+    mid-stream through an insertion.  Two watched pairs: one over
+    registered labels, and one whose source is an ``extra`` label, not
+    registered at watch time but inserted into the stream.
+    """
+    n = draw(st.integers(3, 7))
+    extra = draw(st.integers(1, 3))
+    labels = [f"v{i}" for i in range(n + extra)]
+    registered = draw(st.permutations(labels[:n]))
+
+    def edge_lists(pool_size, max_size):
+        pairs = st.tuples(
+            st.integers(0, pool_size - 1), st.integers(0, pool_size - 1)
+        ).filter(lambda e: e[0] != e[1])
+        return st.lists(pairs, max_size=max_size).map(
+            lambda es: [(labels[a], labels[b]) for a, b in es]
+        )
+
+    edges = draw(edge_lists(n, 16))
+    stream = draw(edge_lists(n + extra, 14))
+    k = draw(st.integers(2, 5))
+    s1, t1, t2 = draw(st.permutations(labels[:n]))[:3]
+    s2 = labels[n + draw(st.integers(0, extra - 1))]
+    # One insertion somewhere in the stream registers the second source.
+    hook = (s2, labels[draw(st.integers(0, n - 1))])
+    stream.insert(draw(st.integers(0, len(stream))), hook)
+    return registered, edges, stream, k, [(s1, t1), (s2, t2)]
+
+
+@given(labelled_monitor_streams())
+@SETTINGS
+def test_gated_monitor_is_exact_on_labels_that_are_not_ids(case):
+    registered, edges, stream, k, pairs = case
+    g = DynamicDiGraph(edges, vertices=registered)
+    monitor = MultiPairMonitor(g, k)
+    for s, t in pairs:
+        monitor.watch(s, t)
+    assert pairs[1][0] not in g  # watched before it is registered
+    for u, v in stream:
+        update = EdgeUpdate(u, v, not g.has_edge(u, v))
+        before = {}
+        for s, t in pairs:
+            cpe = monitor.enumerator_for(s, t)
+            # The gate's test; it reads the same before map repair.
+            relevant = cpe.dist_s.get(u) + 1 + cpe.dist_t.get(v) <= k
+            before[(s, t)] = (
+                path_set(g, s, t, k),
+                relevant,
+                cpe.index.left.as_dict(),
+                cpe.index.right.as_dict(),
+            )
+        results = monitor.apply(update)
+        for s, t in pairs:
+            cpe = monitor.enumerator_for(s, t)
+            old_paths, relevant, left, right = before[(s, t)]
+            new_paths = path_set(g, s, t, k)
+            result = results[(s, t)]
+            assert len(result.paths) == len(set(result.paths))
+            assert set(result.paths) == (
+                new_paths - old_paths if update.insert
+                else old_paths - new_paths
+            )
+            assert cpe.dist_s.is_consistent() and cpe.dist_t.is_consistent()
+            fresh = build_index(g, s, t, k, forced_plan=cpe.plan)
+            assert cpe.index.left.as_dict() == fresh.index.left.as_dict()
+            assert cpe.index.right.as_dict() == fresh.index.right.as_dict()
+            assert cpe.index.direct_edge == fresh.index.direct_edge
+            assert result.record.relevant == relevant
+            if not relevant:
+                assert result.paths == []
+                assert cpe.index.left.as_dict() == left
+                assert cpe.index.right.as_dict() == right
 
 
 def recounted_stats(index):

@@ -465,6 +465,6 @@ class TestMissReusesLiveMaps:
             entry.dist_s for entry in (source_entry, target_entry, seeded)
         ] + [entry.dist_t for entry in (source_entry, target_entry, seeded)]
         assert all(m.is_consistent() for m in maps)
-        assert len({id(m.raw) for m in maps}) == len(maps)
-        assert seeded.dist_s.raw == source_entry.dist_s.raw
-        assert seeded.dist_t.raw == target_entry.dist_t.raw
+        assert len({id(m.table()) for m in maps}) == len(maps)
+        assert seeded.dist_s.table() == source_entry.dist_s.table()
+        assert seeded.dist_t.table() == target_entry.dist_t.table()

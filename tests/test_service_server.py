@@ -175,6 +175,20 @@ class TestStructuredErrors:
             assert response.id == 1
             assert not response.ok
 
+    def test_k_beyond_the_distance_table_bound_is_bad_request(
+        self, diamond_server
+    ):
+        handle, _ = diamond_server
+        with ServiceClient(handle.host, handle.port) as client:
+            response = client.request("query", s=0, t=3, k=254)
+            assert not response.ok
+            assert response.error["code"] == "bad_request"
+            assert "253" in response.error["message"]
+            with pytest.raises(BadRequestError):
+                client.query(0, 3, 254)
+            # the largest accepted k still answers
+            assert len(client.query(0, 3, 253)) == 3
+
     def test_zero_deadline_is_deadline_exceeded(self, diamond_server):
         handle, _ = diamond_server
         with ServiceClient(handle.host, handle.port) as client:
