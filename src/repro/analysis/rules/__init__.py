@@ -17,7 +17,8 @@ Each submodule defines and registers one rule:
 - :mod:`~repro.analysis.rules.r007_obs_events` — no ``print``/``logging``
   in the engine/service layers (use :mod:`repro.obs.events`);
 - :mod:`~repro.analysis.rules.r013_interned_arrays` — no writes to the
-  interned adjacency / packed join-level arrays outside their owners.
+  interned adjacency arrays or the index's mask maps outside their
+  owners.
 
 The whole-program rules (``phase = "program"``) consume the phase-1
 facts from :mod:`repro.analysis.program`:

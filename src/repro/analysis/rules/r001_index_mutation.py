@@ -4,9 +4,9 @@ The CPE index is only correct while every ``PathBuckets`` write preserves
 the admissibility invariants (``i + Dist_t[v] <= k``, ``j + Dist_s[v] <= k``
 — Theorems 1–2); those writes are owned by construction and maintenance.
 Any other module calling ``add_left`` / ``remove_right`` / ``left.add`` /
-``right.remove`` / ``note_added`` / ``level_dict``, or assigning
-``direct_edge``, can corrupt the index without failing a single test —
-wrong answers, not crashes.
+``right.remove`` / ``left.add_level`` (the bulk write of a level's paths
+and masks), or assigning ``direct_edge``, can corrupt the index without
+failing a single test — wrong answers, not crashes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _INDEX_MUTATORS = frozenset(
 
 #: PathBuckets mutators — flagged when called through a `.left`/`.right`
 #: receiver (a plain ``seen.add(...)`` on a local set is untouched).
-_BUCKET_MUTATORS = frozenset({"add", "remove", "note_added", "level_dict"})
+_BUCKET_MUTATORS = frozenset({"add", "add_level", "remove"})
 
 _BUCKET_SIDES = frozenset({"left", "right"})
 

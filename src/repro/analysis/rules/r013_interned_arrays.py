@@ -1,15 +1,16 @@
 """R013 — interned array planes are read-only outside their owners.
 
 The dense-int structures backing the hot paths — the graph's interned
-adjacency arrays (``_out_ids`` / ``_in_ids``) and the packed join-level
-caches (``flat_paths`` / ``masks`` / ``tails`` / ``slots`` on
-:class:`repro.core.index.PackedLevel`) — are *derived* views kept in
-lockstep with the authoritative dict/set planes.  A direct ``append`` /
-``remove`` / item-assignment on one of them from outside the owning
-modules desynchronizes the planes silently: the dict plane still answers
-correctly, the array plane feeds the BFS/join wrong data, and no
-invariant check fires.  All writes must flow through the graph's edge
-API or the index maintenance layer, which update both planes together.
+adjacency arrays (``_out_ids`` / ``_in_ids``) and the index's mask map
+(``PathBuckets._masks``, handed out live by ``masks()``: each stored
+path's vertex bits, which the join ANDs instead of comparing paths) —
+are *derived* views kept in lockstep with the authoritative dict/set
+planes.  A direct ``append`` / ``remove`` / item-assignment on one of
+them from outside the owning modules desynchronizes the planes
+silently: the dict plane still answers correctly, the array plane feeds
+the BFS/join wrong data, and no invariant check fires.  All writes must
+flow through the graph's edge API or the index maintenance layer, which
+update both planes together.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ ALLOWED_MODULES: FrozenSet[str] = frozenset(
     }
 )
 
-#: Attribute names of the interned/packed planes.  ``slots`` only counts
-#: with a mutating verb or subscript-store, so dataclass ``__slots__``
-#: style usage elsewhere is untouched.
-_PLANE_ATTRS = frozenset(
-    {"_out_ids", "_in_ids", "flat_paths", "masks", "tails", "slots"}
-)
+#: Attribute names of the interned planes and the mask map.
+_PLANE_ATTRS = frozenset({"_out_ids", "_in_ids", "_masks"})
+
+#: Accessors returning a live plane: ``buckets.masks()[path] = 0`` writes
+#: the mask map as surely as ``buckets._masks[path] = 0`` does.
+_PLANE_ACCESSORS = frozenset({"masks"})
 
 #: In-place mutators of ``list`` / ``array`` / ``dict`` receivers.
 _MUTATORS = frozenset(
@@ -58,15 +59,24 @@ _MUTATORS = frozenset(
 
 
 def _plane_receiver(node: ast.expr) -> str | None:
-    """The plane attribute name if ``node`` reads one, else None.
+    """The plane's name if ``node`` reads one, else None.
 
-    Matches both a direct attribute (``x.masks``) and one level of
-    subscripting (``x._out_ids[uid]`` — the per-vertex array).
+    Matches a direct attribute (``x._masks``), an accessor call
+    (``x.masks()``), and one level of subscripting on either
+    (``x._out_ids[uid]`` — the per-vertex array).
     """
     if isinstance(node, ast.Subscript):
         node = node.value
     if isinstance(node, ast.Attribute) and node.attr in _PLANE_ATTRS:
         return node.attr
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _PLANE_ACCESSORS
+        and not node.args
+        and not node.keywords
+    ):
+        return f"{node.func.attr}()"
     return None
 
 
@@ -117,12 +127,12 @@ class _InternedArrayVisitor(RuleVisitor):
 
 @register
 class InternedArrayMutationRule(Rule):
-    """No writes to interned adjacency/packed-level arrays outside owners."""
+    """No writes to interned adjacency arrays or mask maps outside owners."""
 
     code = "R013"
     name = "interned-array-mutation"
     description = (
-        "interned adjacency and packed join-level arrays may only be "
+        "interned adjacency arrays and the index's mask map may only be "
         "written by repro.graph.digraph and the index/maintenance modules"
     )
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.explain import active as explain_active
 from repro.core.distance import MAX_HORIZON, DistanceMap, induced_vertices
-from repro.core.index import PartialPathIndex
+from repro.core.index import BitSpace, Bucket, PartialPathIndex
+from repro.core.paths import Path
 from repro.core.plan import JoinPlan
 from repro.graph.digraph import DynamicDiGraph, Vertex
 
@@ -126,7 +127,7 @@ def build_index(
     with obs.span("construction.build"):
         builder = _Builder(graph, s, t, k, dist_s, dist_t, stats)
         plan = builder.run(forced_plan)
-    index = PartialPathIndex(s, t, k, plan)
+    index = PartialPathIndex(s, t, k, plan, bits=builder.bits)
     index.left = builder.left
     index.right = builder.right
     index.direct_edge = k >= 1 and graph.has_edge(s, t)
@@ -171,13 +172,18 @@ class _Builder:
         self.dist_s = dist_s
         self.dist_t = dist_t
         self.stats = stats
-        # Buckets are built here and handed to the index afterwards.
+        # Buckets and the bit space of their masks are built here and
+        # handed to the index afterwards.
         from repro.core.index import PathBuckets
 
+        self.bits = BitSpace()
         self.left = PathBuckets()
         self.right = PathBuckets()
-        self._left_frontier: List[Tuple[Vertex, ...]] = [(s,)]
-        self._right_frontier: List[Tuple[Vertex, ...]] = [(t,)]
+        # Each frontier maps one level's paths, in the order they were
+        # grown, to their vertex masks: a child's mask is its parent's
+        # plus one bit.
+        self._left_frontier: Dict[Path, int] = {(s,): self.bits[s]}
+        self._right_frontier: Dict[Path, int] = {(t,): self.bits[t]}
         # Per-query EXPLAIN recorder, checked once per build / level (not
         # per expansion) so the no-recorder case stays free.
         self._explain = explain_active()
@@ -238,23 +244,24 @@ class _Builder:
         dist = self.dist_t.table()
         ids = self.dist_t.interner.ids()
         out_neighbors = self.graph.out_neighbors
-        bucket = self.left.level_dict(level)
-        next_frontier: List[Tuple[Vertex, ...]] = []
+        bits = self.bits
+        bucket: Bucket = {}
+        next_frontier: Dict[Path, int] = {}
         expansions = 0
-        for path in self._left_frontier:
+        for path, mask in self._left_frontier.items():
             tail = path[-1]
             for y in out_neighbors(tail):
                 expansions += 1
                 if y == t or dist[ids[y]] > budget or y in path:
                     continue
                 extended = path + (y,)
+                next_frontier[extended] = mask | bits[y]
                 paths = bucket.get(y)
                 if paths is None:
                     bucket[y] = {extended}
                 else:
                     paths.add(extended)
-                next_frontier.append(extended)
-        self.left.note_added(len(next_frontier), level)
+        self.left.add_level(level, bucket, next_frontier)
         self.stats.expansions += expansions
         self.stats.pruned += expansions - len(next_frontier)
         if obs.enabled():
@@ -275,23 +282,24 @@ class _Builder:
         dist = self.dist_s.table()
         ids = self.dist_s.interner.ids()
         in_neighbors = self.graph.in_neighbors
-        bucket = self.right.level_dict(level)
-        next_frontier: List[Tuple[Vertex, ...]] = []
+        bits = self.bits
+        bucket: Bucket = {}
+        next_frontier: Dict[Path, int] = {}
         expansions = 0
-        for path in self._right_frontier:
+        for path, mask in self._right_frontier.items():
             head = path[0]
             for x in in_neighbors(head):
                 expansions += 1
                 if x == s or dist[ids[x]] > budget or x in path:
                     continue
                 extended = (x,) + path
+                next_frontier[extended] = mask | bits[x]
                 paths = bucket.get(x)
                 if paths is None:
                     bucket[x] = {extended}
                 else:
                     paths.add(extended)
-                next_frontier.append(extended)
-        self.right.note_added(len(next_frontier), level)
+        self.right.add_level(level, bucket, next_frontier)
         self.stats.expansions += expansions
         self.stats.pruned += expansions - len(next_frontier)
         if obs.enabled():

@@ -15,17 +15,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.explain import ExplainRecord
 from repro.obs.explain import active as explain_active
-from repro.core.index import (
-    JoinStep,
-    PackedLevel,
-    PartialPathIndex,
-    PathBuckets,
-)
+from repro.core.index import JoinStep, PartialPathIndex, PathBuckets
 from repro.core.paths import Path
 from repro.graph.npcompat import get_numpy
 
@@ -40,10 +35,11 @@ _NP_BLOCK_BYTES = 1 << 24
 def enumerate_full(index: PartialPathIndex) -> Iterator[Path]:
     """Yield every k-st path currently represented by the index.
 
-    Runs the packed join (:meth:`PartialPathIndex.packed_program`) and
-    yields one plan pair's output at a time: one int AND against the
-    cut-vertex bit per probe, and the packed arrays mirror the live
-    dict/set walk order exactly, so the emitted sequence is that order.
+    Runs the join program (:meth:`PartialPathIndex.packed_program`) and
+    yields one plan pair's output at a time: one int AND of the stored
+    masks against the cut-vertex bit per probe, and the program mirrors
+    the live dict/set walk order exactly, so the emitted sequence is
+    that order.
     """
     if index.direct_edge:
         yield (index.s, index.t)
@@ -59,7 +55,7 @@ def enumerate_full_list(index: PartialPathIndex) -> List[Path]:
     Same paths, same order, without a generator frame per path; on
     buckets whose probe count reaches :data:`_NP_PROBE_MIN` and with
     numpy available, the mask test runs as a blocked ``uint64`` matrix
-    AND over the packed level's word matrix instead of a scalar loop.
+    AND over the bucket's word matrices instead of a scalar loop.
     """
     out: List[Path] = [(index.s, index.t)] if index.direct_edge else []
     for _emitted in _join(index, out):
@@ -91,7 +87,7 @@ def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
     # a bucket is actually big enough to want the block probe.
     np: Any = None
     np_checked = False
-    for _i, _j, _cut, _probes, lpk, rpk, flat, buckets in program:
+    for _i, _j, _cut, _probes, flat, buckets, words in program:
         before = len(sink)
         hits = 0
         if flat is not None:
@@ -107,15 +103,15 @@ def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
                     for lmask, lp, rmask, rtail, vcbit in flat
                     if (lmask & rmask) == vcbit
                 ]
-        for ls, le, vcbit, rs, re, lmasks, lpaths, rpairs in buckets:
-            if (le - ls) * (re - rs) >= _NP_PROBE_MIN:
+        for vcbit, lmasks, lpaths, rpairs in buckets:
+            if len(lmasks) * len(rpairs) >= _NP_PROBE_MIN:
                 if not np_checked:
                     np = get_numpy()
                     np_checked = True
                 if np is not None:
                     hits += _np_block_probe(
-                        np, None if counting else sink,
-                        lpk, rpk, ls, le, rs, re, vcbit,
+                        np, None if counting else sink, words,
+                        vcbit, lmasks, lpaths, rpairs,
                     )
                     continue
             # Nested loops, not comprehensions: most buckets are small,
@@ -166,34 +162,37 @@ def _record(
 def _np_block_probe(
     np: Any,
     out: Optional[List[Path]],
-    lpk: PackedLevel,
-    rpk: PackedLevel,
-    ls: int,
-    le: int,
-    rs: int,
-    re: int,
+    words: Dict[int, Any],
     vcbit: int,
+    lmasks: List[int],
+    lpaths: List[Path],
+    rpairs: List[Tuple[int, Path]],
 ) -> int:
     """Blocked vectorized mask probe for one large cut-vertex bucket.
 
-    Emits exactly what the scalar loop emits, in the same (row-major)
-    order: hit indexes come from ``nonzero`` on the per-block equality
-    matrix, which scans rows (left paths) then columns (right paths).
-    With ``out=None`` it only counts the hit matrix.  Returns the hit
-    count.
+    The bucket's masks become little-endian ``uint64`` word matrices on
+    the first probe; ``words`` (the step's cache, keyed by ``vcbit``)
+    keeps them for the program's lifetime.  Emits exactly what the
+    scalar loop emits, in the same (row-major) order: hit indexes come
+    from ``nonzero`` on the per-block equality matrix, which scans rows
+    (left paths) then columns (right paths).  With ``out=None`` it only
+    counts the hit matrix.  Returns the hit count.
     """
-    width = (max(lpk.bits_used, rpk.bits_used) + 63) // 64
-    lwords = lpk.words(np, width)
-    rwords = rpk.words(np, width)[rs:re]
-    target = np.frombuffer(vcbit.to_bytes(width * 8, "little"), dtype="<u8")
-    left_paths = lpk.flat_paths
-    right_tails = rpk.tails
-    assert right_tails is not None
+    matrices = words.get(vcbit)
+    if matrices is None:
+        rmasks = [rmask for rmask, _rtail in rpairs]
+        width = (max(max(lmasks), max(rmasks)).bit_length() + 63) // 64
+        matrices = words[vcbit] = (
+            _word_matrix(np, lmasks, width),
+            _word_matrix(np, rmasks, width),
+            _word_matrix(np, [vcbit], width)[0],
+        )
+    lwords, rwords, target = matrices
+    width = target.shape[0]
     hit_count = 0
-    rows_per_block = max(1, _NP_BLOCK_BYTES // (8 * width * max(1, re - rs)))
-    for block_start in range(ls, le, rows_per_block):
-        block_end = min(le, block_start + rows_per_block)
-        block = lwords[block_start:block_end]
+    rows_per_block = max(1, _NP_BLOCK_BYTES // (8 * width * len(rpairs)))
+    for block_start in range(0, len(lmasks), rows_per_block):
+        block = lwords[block_start:block_start + rows_per_block]
         hits = ((block[:, None, :] & rwords[None, :, :]) == target).all(axis=2)
         if out is None:
             hit_count += int(np.count_nonzero(hits))
@@ -202,8 +201,15 @@ def _np_block_probe(
         hit_count += len(li_idx)
         append = out.append
         for a, b in zip(li_idx.tolist(), ri_idx.tolist()):
-            append(left_paths[block_start + a] + right_tails[rs + b])
+            append(lpaths[block_start + a] + rpairs[b][1])
     return hit_count
+
+
+def _word_matrix(np: Any, masks: List[int], width: int) -> Any:
+    """``masks`` as an ``(n, width)`` little-endian ``uint64`` matrix."""
+    nbytes = width * 8
+    data = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
 
 
 def enumerate_delta(
@@ -216,11 +222,17 @@ def enumerate_delta(
 
     The two join terms are disjoint by construction (the second term
     explicitly skips left paths that are in the delta), so every changed
-    full path is produced exactly once.
+    full path is produced exactly once.  The delta buckets carry the
+    masks the index stores, so disjointness is the full join's test:
+    ``lmask & rmask == vcbit``.
     """
     if direct_edge_changed:
         yield (index.s, index.t)
     left, right = index.left, index.right
+    bits = index.bits
+    left_masks, right_masks = left.masks(), right.masks()
+    delta_left_masks = left_delta.masks()
+    delta_right_masks = right_delta.masks()
     for i, j in index.plan:
         # Term 1: changed left x full right.
         delta_left_bucket = left_delta.bucket(i)
@@ -230,10 +242,11 @@ def enumerate_delta(
                 right_paths = right_bucket.get(vc)
                 if not right_paths:
                     continue
+                vcbit = bits[vc]
                 for lp in delta_paths:
-                    lp_set = set(lp)
+                    lmask = delta_left_masks[lp]
                     for rp in right_paths:
-                        if lp_set.isdisjoint(rp[1:]):
+                        if (lmask & right_masks[rp]) == vcbit:
                             yield lp + rp[1:]
         # Term 2: unchanged left x changed right.
         delta_right_bucket = right_delta.bucket(j)
@@ -243,12 +256,13 @@ def enumerate_delta(
                 left_paths = left_bucket.get(vc)
                 if not left_paths:
                     continue
+                vcbit = bits[vc]
                 for lp in left_paths:
                     if left_delta.contains(vc, lp):
                         continue
-                    lp_set = set(lp)
+                    lmask = left_masks[lp]
                     for rp in delta_paths:
-                        if lp_set.isdisjoint(rp[1:]):
+                        if (lmask & delta_right_masks[rp]) == vcbit:
                             yield lp + rp[1:]
 
 

@@ -12,79 +12,58 @@ For a query ``q(s, t, k)`` the index holds:
   explicitly — see DESIGN.md §3).
 
 Right partial paths are stored in *forward* orientation ``(v, ..., t)``
-so that joining is plain tuple concatenation.
+so that joining is plain tuple concatenation.  Every stored path carries
+its vertex mask, written with it (see :class:`BitSpace`), so the join
+tests disjointness with one int AND and never derives a mask itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
+    Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple,
 )
 
-from repro.core.paths import Path, hops
+from repro.core.paths import Path
 from repro.core.plan import JoinPlan
 from repro.graph.digraph import Vertex
-from repro.graph.interning import VertexInterner
 
 Bucket = Dict[Vertex, Set[Path]]
 
 
-@dataclass
-class PackedLevel:
-    """One index level flattened for the join probe (offset-indexed).
+class BitSpace(Dict[Vertex, int]):
+    """One index's private ``vertex -> bit`` map for the join masks.
 
-    The paths of every vertex bucket at one length are laid out
-    back-to-back in ``flat_paths``; ``slots[v]`` is the bucket's
-    ``(start, end, vcbit)`` window into the flat arrays, where ``vcbit``
-    is the key vertex's bit in the index's private bit-id space.
-    ``masks[p]`` is the vertex bitmask of ``flat_paths[p]`` — two
-    partial paths meeting at cut vertex ``v`` join into a *simple* path
-    iff ``left_mask & right_mask == vcbit`` (they share exactly the cut
-    vertex), which turns the per-probe disjointness test into one int
-    AND.  For right levels ``tails`` additionally pre-slices each path's
-    ``path[1:]`` so the emit is a single tuple concatenation.
-
-    A packed level is a cache owned by :class:`PathBuckets` (invalidated
-    by any mutation); everything in it must be treated as read-only
-    (lint rule R013).
+    The ``n``-th distinct vertex looked up gets bit ``1 << n``: reading
+    ``bits[v]`` assigns the next bit on first use, so the writers
+    (construction, maintenance) never test for a missing vertex.  A
+    path's *mask* is the OR of its vertices' bits.  Both sides of one
+    index share one space, so two partial paths meeting at cut vertex
+    ``v`` join into a simple path iff ``left_mask & right_mask ==
+    bits[v]`` (they share exactly the cut vertex).  Readers that must
+    not assign use ``bits.get(v)``.
     """
 
-    slots: Dict[Vertex, Tuple[int, int, int]]
-    flat_paths: List[Path]
-    masks: List[int]
-    tails: Optional[List[Path]]
-    #: Bit-space size at pack time (every mask fits in this many bits).
-    bits_used: int
-    #: Lazy ``(words_per_mask, uint64 matrix)`` for the numpy block probe.
-    _words: Optional[Tuple[int, Any]] = field(default=None, repr=False)
+    __slots__ = ()
 
-    def words(self, np: Any, width: int) -> Any:
-        """The masks as an ``(n, width)`` little-endian uint64 matrix.
+    def __missing__(self, vertex: Vertex) -> int:
+        bit = 1 << len(self)
+        self[vertex] = bit
+        return bit
 
-        Built once per requested width and cached; the numpy block probe
-        in :mod:`repro.core.enumeration` slices row windows out of it.
-        """
-        cached = self._words
-        if cached is not None and cached[0] == width:
-            return cached[1]
-        nbytes = width * 8
-        data = b"".join(m.to_bytes(nbytes, "little") for m in self.masks)
-        matrix = np.frombuffer(data, dtype="<u8").reshape(
-            len(self.masks), width
-        )
-        self._words = (width, matrix)
-        return matrix
+    def mask(self, path: Path) -> int:
+        """The vertex mask of ``path`` (assigning bits to new vertices)."""
+        mask = 0
+        for v in path:
+            mask |= self[v]
+        return mask
 
 
-#: One pre-resolved cut-vertex bucket of a join step:
-#: ``(left start, left end, vc bit, right start, right end,
-#:    left mask slice, left path slice, right (mask, tail) pairs)`` —
-#: the slices/pairs are materialized once per index version so the probe
-#: loop runs on plain lists with no per-call slicing.
-BucketStep = Tuple[
-    int, int, int, int, int, List[int], List[Path], List[Tuple[int, Path]]
-]
+#: One cut-vertex bucket of a join step:
+#: ``(vc bit, left masks, left paths, right (mask, tail) pairs)`` — the
+#: lists are built once per program, in the buckets' set order, so the
+#: probe loop runs on plain lists with no per-call slicing.
+BucketStep = Tuple[int, List[int], List[Path], List[Tuple[int, Path]]]
 
 #: One linearized probe of a small join step:
 #: ``(left mask, left path, right mask, right tail, vc bit)``.
@@ -112,14 +91,13 @@ class JoinStep(NamedTuple):
     #: ``Σ_v |LP_i(v)|·|RP_j(v)|`` over those cut vertices: every
     #: ``(lp, rp)`` combination the join tests.
     probe_total: int
-    #: The two packed levels (kept for the numpy word-matrix probe).
-    left: PackedLevel
-    right: PackedLevel
     #: The linearized probe list (small steps; None otherwise).
     flat: Optional[List[ProbeStep]]
-    #: Per-cut-vertex bucket ranges (big steps; empty when ``flat`` is
-    #: used).
+    #: Per-cut-vertex buckets (big steps; empty when ``flat`` is used).
     buckets: List[BucketStep]
+    #: The numpy block probe's word matrices, keyed by a big bucket's vc
+    #: bit and filled on first use, so a program builds each once.
+    words: Dict[int, Any]
 
 
 class PathBuckets:
@@ -129,48 +107,73 @@ class PathBuckets:
     for left partial paths, the first for right partial paths.  The
     caller passes it explicitly so the same container serves both sides
     (and the maintenance delta records).
+
+    Every path is written together with its vertex mask (see
+    :class:`BitSpace`), and one ``path -> mask`` map answers membership.
+    The buckets stay sets because set order is the join's emission
+    order.
     """
 
-    __slots__ = ("_by_len", "_count", "_slots", "_version", "_packed")
+    __slots__ = ("_by_len", "_masks", "_slots", "_version")
 
     def __init__(self) -> None:
         self._by_len: Dict[int, Bucket] = {}
-        # Running path and vertex-slot totals, so sizing the index never
-        # walks the stored paths.
-        self._count = 0
+        self._masks: Dict[Path, int] = {}
+        # Running vertex-slot total, so sizing the index never walks the
+        # stored paths (the path count is len(_masks)).
         self._slots = 0
-        # Mutation counter + per-length packed-level cache.  Every write
-        # (add/remove, or a bulk construction write reported through
-        # note_added) bumps the version; packed() rebuilds lazily when
-        # its stamp is stale.
+        # Mutation counter: every write bumps it, so a join program
+        # built from these buckets knows when it is stale.
         self._version = 0
-        self._packed: Dict[int, Tuple[int, PackedLevel]] = {}
 
-    def add(self, vertex: Vertex, path: Path) -> bool:
-        """Insert ``path`` under ``(hops(path), vertex)``; True if new."""
+    def add(self, vertex: Vertex, path: Path, mask: int) -> bool:
+        """Insert ``path`` with its vertex ``mask`` under
+        ``(hops(path), vertex)``; True if new."""
+        masks = self._masks
+        if path in masks:
+            return False
+        masks[path] = mask
         size = len(path)
         bucket = self._by_len.setdefault(size - 1, {})
-        paths = bucket.setdefault(vertex, set())
-        if path in paths:
-            return False
-        paths.add(path)
-        self._count += 1
+        paths = bucket.get(vertex)
+        if paths is None:
+            bucket[vertex] = {path}
+        else:
+            paths.add(path)
         self._slots += size
         self._version += 1
         return True
 
+    def add_level(
+        self, length: int, bucket: Bucket, masks: Dict[Path, int]
+    ) -> None:
+        """Install a whole level of paths of ``length`` hops with their
+        vertex masks: ``bucket`` keys each path by its key vertex, and
+        ``masks`` maps each of those paths to its mask.
+
+        The construction level search's write, one call per level; the
+        level must hold no paths yet, and is created even when empty,
+        as the level search reached it.
+        """
+        if self._by_len.get(length):
+            raise ValueError(f"level {length} already holds paths")
+        self._by_len[length] = bucket
+        if masks:
+            self._masks.update(masks)
+            self._slots += len(masks) * (length + 1)
+            self._version += 1
+
     def remove(self, vertex: Vertex, path: Path) -> bool:
-        """Remove ``path``; True if it was present."""
+        """Remove ``path`` (keyed at ``vertex``); True if it was present."""
+        masks = self._masks
+        if path not in masks:
+            return False
         size = len(path)
         length = size - 1
-        bucket = self._by_len.get(length)
-        if bucket is None:
-            return False
-        paths = bucket.get(vertex)
-        if paths is None or path not in paths:
-            return False
+        bucket = self._by_len[length]
+        paths = bucket[vertex]
         paths.discard(path)
-        self._count -= 1
+        del masks[path]
         self._slots -= size
         self._version += 1
         if not paths:
@@ -180,39 +183,24 @@ class PathBuckets:
         return True
 
     def contains(self, vertex: Vertex, path: Path) -> bool:
-        """Membership test under ``(hops(path), vertex)``."""
-        bucket = self._by_len.get(hops(path))
-        if bucket is None:
-            return False
-        paths = bucket.get(vertex)
-        return paths is not None and path in paths
+        """Whether ``path`` (keyed at ``vertex``) is stored."""
+        return path in self._masks
+
+    def mask_of(self, path: Path) -> int:
+        """The vertex mask stored with ``path`` (KeyError if absent)."""
+        return self._masks[path]
+
+    def masks(self) -> Mapping[Path, int]:
+        """The live ``path -> vertex mask`` map of every stored path.
+
+        Exposed without a copy for the join and maintenance hot loops;
+        callers must treat it as read-only (lint rule R013).
+        """
+        return self._masks
 
     def bucket(self, length: int) -> Bucket:
         """All vertex buckets at ``length`` (live mapping; may be empty)."""
         return self._by_len.get(length, {})
-
-    def level_dict(self, length: int) -> Bucket:
-        """The live bucket at ``length``, created if missing.
-
-        Bulk-insert fast path for the construction level search: callers
-        write path sets directly and report the added count through
-        :meth:`note_added`.
-        """
-        return self._by_len.setdefault(length, {})
-
-    def note_added(self, count: int, length: int) -> None:
-        """Adjust the counters after ``count`` new paths were written
-        directly into ``level_dict(length)``.
-
-        Every path at hop length ``length`` has ``length + 1`` vertices,
-        so the vertex-slot total moves by ``count * (length + 1)``.  Also
-        invalidates the packed-level caches: the construction level
-        search writes buckets directly and *always* reports through this
-        hook, so the bump keeps the caches exact without a per-path cost.
-        """
-        self._count += count
-        self._slots += count * (length + 1)
-        self._version += 1
 
     @property
     def vertex_slots(self) -> int:
@@ -223,53 +211,6 @@ class PathBuckets:
     def version(self) -> int:
         """Mutation stamp; changes whenever the stored paths change."""
         return self._version
-
-    def packed(
-        self,
-        length: int,
-        intern: Callable[[Vertex], int],
-        with_tails: bool = False,
-    ) -> Optional[PackedLevel]:
-        """The level at ``length`` as a :class:`PackedLevel` (cached).
-
-        ``intern`` maps a vertex to its bit index in the owning index's
-        private bit space (both sides of one index must share it so the
-        masks are comparable).  Returns ``None`` for an empty level.
-        The result is rebuilt only after a mutation; bucket and
-        within-bucket path order follow the live containers, so the
-        packed probe enumerates in exactly the order the dict/set walk
-        would.
-        """
-        bucket = self._by_len.get(length)
-        if not bucket:
-            return None
-        cached = self._packed.get(length)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        slots: Dict[Vertex, Tuple[int, int, int]] = {}
-        flat_paths: List[Path] = []
-        masks: List[int] = []
-        tails: Optional[List[Path]] = [] if with_tails else None
-        for vertex, paths in bucket.items():
-            start = len(flat_paths)
-            for path in paths:
-                mask = 0
-                for v in path:
-                    mask |= 1 << intern(v)
-                flat_paths.append(path)
-                masks.append(mask)
-                if tails is not None:
-                    tails.append(path[1:])
-            slots[vertex] = (start, len(flat_paths), 1 << intern(vertex))
-        packed = PackedLevel(
-            slots=slots,
-            flat_paths=flat_paths,
-            masks=masks,
-            tails=tails,
-            bits_used=max(m.bit_length() for m in masks),
-        )
-        self._packed[length] = (self._version, packed)
-        return packed
 
     def at(self, vertex: Vertex, length: int) -> Set[Path]:
         """Paths at ``(vertex, length)`` (live set; may be empty)."""
@@ -303,7 +244,7 @@ class PathBuckets:
         return sum(len(ps) for ps in self._by_len.get(length, {}).values())
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathBuckets):
@@ -319,7 +260,7 @@ class PathBuckets:
         }
 
     def __repr__(self) -> str:
-        return f"PathBuckets(paths={self._count})"
+        return f"PathBuckets(paths={len(self._masks)})"
 
 
 @dataclass(frozen=True)
@@ -362,7 +303,14 @@ class PartialPathIndex:
         "_program",
     )
 
-    def __init__(self, s: Vertex, t: Vertex, k: int, plan: JoinPlan) -> None:
+    def __init__(
+        self,
+        s: Vertex,
+        t: Vertex,
+        k: int,
+        plan: JoinPlan,
+        bits: Optional[BitSpace] = None,
+    ) -> None:
         if s == t:
             raise ValueError("s and t must differ")
         if plan.k != k:
@@ -374,10 +322,10 @@ class PartialPathIndex:
         self.left = PathBuckets()
         self.right = PathBuckets()
         self.direct_edge = False
-        # The query-private bit-id space of the join masks: bits are
-        # assigned to vertices in first-packed order, shared by both
-        # sides so left/right masks are comparable.
-        self._bits = VertexInterner()
+        # The bit space of the stored masks: construction assigns bits
+        # while it writes, before the index exists, and hands its space
+        # over here.
+        self._bits = BitSpace() if bits is None else bits
         # Join-program cache: (left obj, right obj, left ver, right ver,
         # program).  Identity + version checks catch both in-place
         # mutation and wholesale bucket replacement (build_index assigns
@@ -386,12 +334,20 @@ class PartialPathIndex:
             Tuple[Any, Any, int, int, List[JoinStep]]
         ] = None
 
+    @property
+    def bits(self) -> BitSpace:
+        """The ``vertex -> bit`` space every stored mask is written in."""
+        return self._bits
+
     # ------------------------------------------------------------------
     # Left side (paths s -> v, keyed by their last vertex)
     # ------------------------------------------------------------------
     def add_left(self, path: Path) -> bool:
         """Store a left partial path; True if new."""
-        return self.left.add(path[-1], path)
+        vertex = path[-1]
+        if self.left.contains(vertex, path):
+            return False
+        return self.left.add(vertex, path, self._bits.mask(path))
 
     def remove_left(self, path: Path) -> bool:
         """Drop a left partial path; True if present."""
@@ -406,7 +362,10 @@ class PartialPathIndex:
     # ------------------------------------------------------------------
     def add_right(self, path: Path) -> bool:
         """Store a right partial path; True if new."""
-        return self.right.add(path[0], path)
+        vertex = path[0]
+        if self.right.contains(vertex, path):
+            return False
+        return self.right.add(vertex, path, self._bits.mask(path))
 
     def remove_right(self, path: Path) -> bool:
         """Drop a right partial path; True if present."""
@@ -417,84 +376,77 @@ class PartialPathIndex:
         return self.right.contains(path[0], path)
 
     # ------------------------------------------------------------------
-    # Packed join views
+    # The join program
     # ------------------------------------------------------------------
-    def packed_left(self, length: int) -> Optional[PackedLevel]:
-        """``LP_length`` flattened for the join probe (None if empty)."""
-        return self.left.packed(length, self._bits.intern)
-
-    def packed_right(self, length: int) -> Optional[PackedLevel]:
-        """``RP_length`` flattened, with pre-sliced tails (None if empty)."""
-        return self.right.packed(length, self._bits.intern, with_tails=True)
-
     def packed_program(self) -> List[JoinStep]:
-        """The join plan resolved against the packed levels.
+        """The join plan resolved against the cut-vertex buckets.
 
         One :class:`JoinStep` per plan pair whose two levels are both
-        non-empty (a step may have no cut vertex): the two packed levels
-        plus, per cut vertex present on both sides, its
-        ``(left start, left end, vc bit, right start, right end)`` slot
-        ranges — middle-vertex intersection order preserved (driven from
-        the smaller side, exactly as the legacy nested join iterates).
-        Cached until either side's buckets change or are replaced.
+        non-empty (a step may have no cut vertex).  Only the vertices
+        keyed on both levels are visited — in the smaller side's dict
+        order, exactly as the nested dict/set join iterates — and each
+        contributes its paths in set order with the masks stored beside
+        them.  Cached until either side's buckets change or are
+        replaced.
         """
+        left, right = self.left, self.right
         cached = self._program
         if (
             cached is not None
-            and cached[0] is self.left
-            and cached[1] is self.right
-            and cached[2] == self.left.version
-            and cached[3] == self.right.version
+            and cached[0] is left
+            and cached[1] is right
+            and cached[2] == left.version
+            and cached[3] == right.version
         ):
             return cached[4]
+        bits = self._bits
+        left_masks = left.masks()
+        right_masks = right.masks()
         program: List[JoinStep] = []
         for i, j in self.plan:
-            lpk = self.packed_left(i)
-            rpk = self.packed_right(j)
-            if lpk is None or rpk is None:
+            left_bucket = left.bucket(i)
+            right_bucket = right.bucket(j)
+            if not left_bucket or not right_bucket:
                 continue
-            left_slots = lpk.slots
-            right_slots = rpk.slots
-            if len(left_slots) <= len(right_slots):
-                middles = (v for v in left_slots if v in right_slots)
+            if len(left_bucket) <= len(right_bucket):
+                middles = [v for v in left_bucket if v in right_bucket]
             else:
-                middles = (v for v in right_slots if v in left_slots)
-            assert rpk.tails is not None
-            buckets: List[BucketStep] = []
-            probe_total = 0
-            for vc in middles:
-                ls, le, vcbit = left_slots[vc]
-                rs, re, _ = right_slots[vc]
-                probe_total += (le - ls) * (re - rs)
-                buckets.append(
-                    (
-                        ls,
-                        le,
-                        vcbit,
-                        rs,
-                        re,
-                        lpk.masks[ls:le],
-                        lpk.flat_paths[ls:le],
-                        list(zip(rpk.masks[rs:re], rpk.tails[rs:re])),
-                    )
-                )
+                middles = [v for v in right_bucket if v in left_bucket]
+            probe_total = sum([
+                len(left_bucket[v]) * len(right_bucket[v]) for v in middles
+            ])
             flat: Optional[List[ProbeStep]] = None
+            buckets: List[BucketStep] = []
             if probe_total < PACK_FLAT_STEP_MAX:
-                flat = [
-                    (lmask, lp, rmask, rtail, vcbit)
-                    for _ls, _le, vcbit, _rs, _re, lms, lps, rpairs in buckets
-                    for lmask, lp in zip(lms, lps)
-                    for rmask, rtail in rpairs
-                ]
+                flat = []
+                for vc in middles:
+                    vcbit = bits[vc]
+                    rpairs = [
+                        (right_masks[p], p[1:]) for p in right_bucket[vc]
+                    ]
+                    flat += [
+                        (lmask, lp, rmask, rtail, vcbit)
+                        for lp in left_bucket[vc]
+                        for lmask in (left_masks[lp],)  # once per left path
+                        for rmask, rtail in rpairs
+                    ]
+            else:
+                for vc in middles:
+                    lpaths = list(left_bucket[vc])
+                    buckets.append((
+                        bits[vc],
+                        [left_masks[p] for p in lpaths],
+                        lpaths,
+                        [(right_masks[p], p[1:]) for p in right_bucket[vc]],
+                    ))
             program.append(JoinStep(
-                i, j, len(buckets), probe_total, lpk, rpk, flat,
-                [] if flat is not None else buckets,
+                i, j, len(middles), probe_total, flat, buckets, {},
             ))
         self._program = (
-            self.left,
-            self.right,
-            self.left.version,
-            self.right.version,
+            left,
+            right,
+            left.version,
+            right.version,
             program,
         )
         return program
@@ -524,9 +476,9 @@ class PartialPathIndex:
 
 
 __all__ = [
+    "BitSpace",
     "Bucket",
     "JoinStep",
-    "PackedLevel",
     "PathBuckets",
     "IndexMemoryStats",
     "PartialPathIndex",

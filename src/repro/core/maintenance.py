@@ -186,9 +186,11 @@ class IndexMaintainer:
             hi = min(r, k - new)
             if lo > hi:
                 continue
+            # Most starts find no path: masking only the paths written
+            # keeps explored dead ends out of the bit space.
             for path in self._forward_paths_to_t(w, lo, hi):
                 if self.index.add_right(path):
-                    delta.add(path[0], path)
+                    delta.add(w, path, self.index.right.mask_of(path))
 
     def _repair_left(
         self, changed_t: Dict[Vertex, Tuple[int, int]], delta: PathBuckets
@@ -204,7 +206,7 @@ class IndexMaintainer:
                 continue
             for path in self._backward_paths_from_s(w, lo, hi):
                 if self.index.add_left(path):
-                    delta.add(path[-1], path)
+                    delta.add(w, path, self.index.left.mask_of(path))
 
     def _forward_paths_to_t(self, start: Vertex, lo: int, hi: int) -> List[Path]:
         """Simple ``start -> t`` paths with ``lo <= hops <= hi``, avoiding s.
@@ -273,28 +275,31 @@ class IndexMaintainer:
             return  # a path starting s -> u -> ... is a full path, not an RP
         k, r = self.k, self.index.plan.r
         dist_s = self.dist_s
-        bases: List[Path] = []
+        right = self.index.right
+        bits = self.index.bits
+        bases: List[Tuple[Path, int]] = []
         if v == self.t:
             if 1 <= r and 1 + dist_s.get(u) <= k:
-                bases.append((u, v))
+                bases.append(((u, v), bits[u] | bits[v]))
         else:
-            for length, rp in list(self.index.right.at_vertex(v)):
+            masks = right.masks()
+            for length, rp in list(right.at_vertex(v)):
                 if length + 1 > r or length + 1 + dist_s.get(u) > k:
                     continue
                 if u in rp:
                     continue
-                bases.append((u,) + rp)
+                bases.append(((u,) + rp, masks[rp] | bits[u]))
         in_neighbors = self.graph.in_neighbors
         s = self.s
         dist = dist_s.table()  # Dist_s[x] is dist[ids[x]]
         ids = dist_s.interner.ids()
-        stack: List[Path] = []
-        for base in bases:
-            if self.index.add_right(base):
-                delta.add(base[0], base)
-            stack.append(base)
+        stack: List[Tuple[Path, int]] = []
+        for base, mask in bases:
+            if right.add(u, base, mask):
+                delta.add(u, base, mask)
+            stack.append((base, mask))
         while stack:
-            path = stack.pop()
+            path, mask = stack.pop()
             nxt = len(path)  # hops after prepending one vertex
             if nxt > r:
                 continue
@@ -302,11 +307,12 @@ class IndexMaintainer:
                 if x == s or x in path or nxt + dist[ids[x]] > k:
                     continue
                 extended = (x,) + path
-                if self.index.add_right(extended):
-                    delta.add(x, extended)
+                extended_mask = mask | bits[x]
+                if right.add(x, extended, extended_mask):
+                    delta.add(x, extended, extended_mask)
                 # Recurse regardless of newness: an extension added by the
                 # admissibility repair may still have missing extensions.
-                stack.append(extended)
+                stack.append((extended, extended_mask))
         return
 
     def _new_edge_left(self, u: Vertex, v: Vertex, delta: PathBuckets) -> None:
@@ -315,28 +321,31 @@ class IndexMaintainer:
             return  # a path ... -> u -> t is a full path, not an LP
         k, l = self.k, self.index.plan.l
         dist_t = self.dist_t
-        bases: List[Path] = []
+        left = self.index.left
+        bits = self.index.bits
+        bases: List[Tuple[Path, int]] = []
         if u == self.s:
             if 1 <= l and 1 + dist_t.get(v) <= k:
-                bases.append((u, v))
+                bases.append(((u, v), bits[u] | bits[v]))
         else:
-            for length, lp in list(self.index.left.at_vertex(u)):
+            masks = left.masks()
+            for length, lp in list(left.at_vertex(u)):
                 if length + 1 > l or length + 1 + dist_t.get(v) > k:
                     continue
                 if v in lp:
                     continue
-                bases.append(lp + (v,))
+                bases.append((lp + (v,), masks[lp] | bits[v]))
         out_neighbors = self.graph.out_neighbors
         t = self.t
         dist = dist_t.table()  # Dist_t[y] is dist[ids[y]]
         ids = dist_t.interner.ids()
-        stack: List[Path] = []
-        for base in bases:
-            if self.index.add_left(base):
-                delta.add(base[-1], base)
-            stack.append(base)
+        stack: List[Tuple[Path, int]] = []
+        for base, mask in bases:
+            if left.add(v, base, mask):
+                delta.add(v, base, mask)
+            stack.append((base, mask))
         while stack:
-            path = stack.pop()
+            path, mask = stack.pop()
             nxt = len(path)
             if nxt > l:
                 continue
@@ -344,9 +353,10 @@ class IndexMaintainer:
                 if y == t or y in path or nxt + dist[ids[y]] > k:
                     continue
                 extended = path + (y,)
-                if self.index.add_left(extended):
-                    delta.add(y, extended)
-                stack.append(extended)
+                extended_mask = mask | bits[y]
+                if left.add(y, extended, extended_mask):
+                    delta.add(y, extended, extended_mask)
+                stack.append((extended, extended_mask))
         return
 
     # ==================================================================
@@ -456,24 +466,23 @@ class IndexMaintainer:
         hash probes.
         """
         index_left = self.index.left
+        masks = index_left.masks()
         l = self.index.plan.l
         queue: deque = deque()
 
         def mark(path: Path) -> None:
-            if removed.add(path[-1], path):
+            # Stored paths only: the removal record carries their masks.
+            mask = masks.get(path)
+            if mask is not None and removed.add(path[-1], path, mask):
                 queue.append(path)
 
         if u == self.s:
-            seed = (u, v)
-            if index_left.contains(v, seed):
-                mark(seed)
+            mark((u, v))
         else:
             for length, lp in list(index_left.at_vertex(u)):
                 if length + 1 > l:
                     continue
-                seed = lp + (v,)
-                if index_left.contains(v, seed):
-                    mark(seed)
+                mark(lp + (v,))
         out_neighbors = self.graph.out_neighbors
         while queue:
             path = queue.popleft()
@@ -482,33 +491,29 @@ class IndexMaintainer:
             for y in out_neighbors(path[-1]):
                 if y in path:
                     continue
-                extended = path + (y,)
-                if index_left.contains(y, extended):
-                    mark(extended)
+                mark(path + (y,))
 
     def _mark_edge_using_right(
         self, u: Vertex, v: Vertex, removed: PathBuckets
     ) -> None:
         """Mark every RP path traversing ``(u, v)`` (mirror of LP side)."""
         index_right = self.index.right
+        masks = index_right.masks()
         r = self.index.plan.r
         queue: deque = deque()
 
         def mark(path: Path) -> None:
-            if removed.add(path[0], path):
+            mask = masks.get(path)
+            if mask is not None and removed.add(path[0], path, mask):
                 queue.append(path)
 
         if v == self.t:
-            seed = (u, v)
-            if index_right.contains(u, seed):
-                mark(seed)
+            mark((u, v))
         else:
-            for length, rp in list(self.index.right.at_vertex(v)):
+            for length, rp in list(index_right.at_vertex(v)):
                 if length + 1 > r:
                     continue
-                seed = (u,) + rp
-                if index_right.contains(u, seed):
-                    mark(seed)
+                mark((u,) + rp)
         in_neighbors = self.graph.in_neighbors
         while queue:
             path = queue.popleft()
@@ -517,9 +522,7 @@ class IndexMaintainer:
             for x in in_neighbors(path[0]):
                 if x in path:
                     continue
-                extended = (x,) + path
-                if index_right.contains(x, extended):
-                    mark(extended)
+                mark((x,) + path)
 
     # ------------------------------------------------------------------
     def _mark_inadmissible_right(
@@ -527,24 +530,28 @@ class IndexMaintainer:
     ) -> None:
         """Mark RP buckets whose lengths stopped being admissible."""
         k, r = self.k, self.index.plan.r
+        right = self.index.right
+        masks = right.masks()
         for w, (old, new) in changed_s.items():
             lo = max(1, k - new + 1)
             hi = min(r, k - old)
             for j in range(lo, hi + 1):
-                for path in self.index.right.at(w, j):
-                    removed.add(w, path)
+                for path in right.at(w, j):
+                    removed.add(w, path, masks[path])
 
     def _mark_inadmissible_left(
         self, changed_t: Dict[Vertex, Tuple[int, int]], removed: PathBuckets
     ) -> None:
         """Mark LP buckets whose lengths stopped being admissible."""
         k, l = self.k, self.index.plan.l
+        left = self.index.left
+        masks = left.masks()
         for w, (old, new) in changed_t.items():
             lo = max(1, k - new + 1)
             hi = min(l, k - old)
             for i in range(lo, hi + 1):
-                for path in self.index.left.at(w, i):
-                    removed.add(w, path)
+                for path in left.at(w, i):
+                    removed.add(w, path, masks[path])
 
 
 __all__ = [

@@ -39,6 +39,7 @@ class StrictUdfsMaintainer(IndexMaintainer):
         self, changed_s: Dict[Vertex, Tuple[int, int]], delta: PathBuckets
     ) -> None:
         k, r = self.k, self.index.plan.r
+        right = self.index.right
         relaxed = {
             w: (old, new)
             for w, (old, new) in changed_s.items()
@@ -75,7 +76,7 @@ class StrictUdfsMaintainer(IndexMaintainer):
                         continue
                     extended = (v2,) + path
                     if self.index.add_right(extended):
-                        delta.add(v2, extended)
+                        delta.add(v2, extended, right.mask_of(extended))
                         stack.append(extended)  # strict: recurse on NEW only
         while stack:
             path = stack.pop()
@@ -91,13 +92,14 @@ class StrictUdfsMaintainer(IndexMaintainer):
                     continue
                 extended = (v2,) + path
                 if self.index.add_right(extended):
-                    delta.add(v2, extended)
+                    delta.add(v2, extended, right.mask_of(extended))
                     stack.append(extended)
 
     def _repair_left(
         self, changed_t: Dict[Vertex, Tuple[int, int]], delta: PathBuckets
     ) -> None:
         k, l = self.k, self.index.plan.l
+        left = self.index.left
         relaxed = {
             w: (old, new)
             for w, (old, new) in changed_t.items()
@@ -132,7 +134,7 @@ class StrictUdfsMaintainer(IndexMaintainer):
                         continue
                     extended = path + (v2,)
                     if self.index.add_left(extended):
-                        delta.add(v2, extended)
+                        delta.add(v2, extended, left.mask_of(extended))
                         stack.append(extended)
         while stack:
             path = stack.pop()
@@ -148,7 +150,7 @@ class StrictUdfsMaintainer(IndexMaintainer):
                     continue
                 extended = path + (v2,)
                 if self.index.add_left(extended):
-                    delta.add(v2, extended)
+                    delta.add(v2, extended, left.mask_of(extended))
                     stack.append(extended)
 
 

@@ -9,11 +9,12 @@ good).  The same checks back the test suite's invariant assertions.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.construction import build_index
 from repro.core.enumerator import CpeEnumerator
-from repro.core.paths import exists_in, hops, is_simple
+from repro.core.index import BitSpace
+from repro.core.paths import Path, exists_in, hops, is_simple
 
 
 def verify_enumerator(cpe: CpeEnumerator) -> List[str]:
@@ -26,6 +27,7 @@ def verify_enumerator(cpe: CpeEnumerator) -> List[str]:
         findings.append("Dist_t diverges from a fresh BFS")
 
     findings.extend(_structural_checks(cpe))
+    findings.extend(_mask_checks(cpe))
 
     fresh = build_index(cpe.graph, cpe.s, cpe.t, cpe.k, forced_plan=cpe.plan)
     if cpe.index.direct_edge != fresh.index.direct_edge:
@@ -87,6 +89,40 @@ def _structural_checks(cpe: CpeEnumerator) -> List[str]:
         elif length + cpe.dist_s.get(vertex) > k:
             findings.append(f"RP inadmissible: {path}")
     return findings
+
+
+def _mask_checks(cpe: CpeEnumerator) -> List[str]:
+    """Every stored mask is its path's vertex set in the index's bits.
+
+    The join trusts the masks written with the paths; a stale one makes
+    it emit a non-simple path or drop a simple one.
+    """
+    findings: List[str] = []
+    bits = cpe.index.bits
+    for side, buckets in (("LP", cpe.index.left), ("RP", cpe.index.right)):
+        masks = buckets.masks()
+        stored = 0
+        for path in buckets.paths():
+            stored += 1
+            mask = masks.get(path)
+            if mask is None or mask != _vertex_mask(bits, path):
+                findings.append(f"{side} stale mask: {path} stores {mask}")
+        if len(masks) != stored:
+            findings.append(
+                f"{side} holds {len(masks)} masks for {stored} paths"
+            )
+    return findings
+
+
+def _vertex_mask(bits: BitSpace, path: Path) -> Optional[int]:
+    """``path``'s vertex set in ``bits``; None if a vertex has no bit."""
+    mask = 0
+    for v in path:
+        bit = bits.get(v)
+        if bit is None:
+            return None
+        mask |= bit
+    return mask
 
 
 def assert_verified(cpe: CpeEnumerator) -> None:

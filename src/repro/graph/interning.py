@@ -15,8 +15,8 @@ hashable vertices and that dense id space:
 
 The graph layer owns one interner per :class:`~repro.graph.digraph.DynamicDiGraph`
 and per :class:`~repro.graph.frozen.FrozenDiGraph` snapshot (every
-registered vertex is interned); the index layer reuses the same class
-for its private bit-id space (see ``PartialPathIndex``).
+registered vertex is interned).  The index's join masks use their own
+private bit space instead (:class:`repro.core.index.BitSpace`).
 """
 
 from __future__ import annotations

@@ -217,18 +217,45 @@ def test_r013_allows_the_owning_modules(tmp_path):
     assert report.findings == (), "the graph may write its own id plane"
 
 
-def test_r013_flags_packed_level_writes(tmp_path):
+_MASK_MAP_WRITES = textwrap.dedent(
+    """\
+    def poke(index, path):
+        index.left.masks()[path] = 0
+        index.right.masks().clear()
+        index.left._masks[path] = 0
+        index.right._masks = {}
+        return index.left.masks().get(path)
+    """
+)
+
+
+def test_r013_flags_mask_map_writes(tmp_path):
+    report = lint_source(tmp_path, _MASK_MAP_WRITES, select=["R013"])
+    lines = [f.line for f in report.for_rule("R013")]
+    assert lines == [2, 3, 4, 5]  # the read on line 6 is fine
+
+
+def test_r013_allows_mask_map_writes_by_the_index(tmp_path):
+    target = _scoped_module(
+        tmp_path, "repro/core", "index.py", _MASK_MAP_WRITES
+    )
+    report = run_lint([str(target)], select=["R013"])
+    assert report.findings == (), "the index owns its mask map"
+
+
+def test_r001_flags_bulk_level_writes(tmp_path):
     source = textwrap.dedent(
         """\
-        def poke(level, i):
-            level.masks[i] = 0
-            level.flat_paths.clear()
-            level.tails = None
+        def stuff(index, paths, masks):
+            index.left.add_level(2, paths, masks, -1)
+            index.right.add(7, (7, 9), 3)
         """
     )
-    report = lint_source(tmp_path, source, select=["R013"])
-    lines = [f.line for f in report.for_rule("R013")]
-    assert lines == [2, 3, 4]
+    report = lint_source(tmp_path, source, select=["R001"])
+    assert [f.line for f in report.for_rule("R001")] == [2, 3]
+    target = _scoped_module(tmp_path, "repro/core", "construction.py", source)
+    report = run_lint([str(target)], select=["R001"])
+    assert report.findings == (), "construction owns the bulk write"
 
 
 def _scoped_module(tmp_path, dotted_dir, filename, source):

@@ -55,7 +55,8 @@ class TestDeltaJoin:
     def test_delta_left_joins_full_right(self, diamond):
         result = build_index(diamond, 0, 3, 2)
         delta_left = PathBuckets()
-        delta_left.add(1, (0, 1))  # pretend (0, 1) is newly added
+        # Pretend (0, 1) is newly added; a delta carries the index's mask.
+        delta_left.add(1, (0, 1), result.index.left.mask_of((0, 1)))
         got = set(
             enumerate_delta(result.index, delta_left, PathBuckets())
         )
@@ -64,9 +65,9 @@ class TestDeltaJoin:
     def test_delta_right_skips_delta_left_pairs(self, diamond):
         result = build_index(diamond, 0, 3, 2)
         delta_left = PathBuckets()
-        delta_left.add(1, (0, 1))
+        delta_left.add(1, (0, 1), result.index.left.mask_of((0, 1)))
         delta_right = PathBuckets()
-        delta_right.add(1, (1, 3))
+        delta_right.add(1, (1, 3), result.index.right.mask_of((1, 3)))
         got = list(
             enumerate_delta(result.index, delta_left, delta_right)
         )

@@ -176,7 +176,8 @@ class TestVerify:
 
     def test_detects_malformed_path(self, diamond):
         cpe = CpeEnumerator(diamond, 0, 3, 3)
-        cpe.index.left.add(2, (0, 2, 2))  # non-simple, misfiled
+        path = (0, 2, 2)  # non-simple, misfiled
+        cpe.index.left.add(2, path, cpe.index.bits.mask(path))
         findings = verify_enumerator(cpe)
         assert any("malformed" in f or "misfiled" in f for f in findings)
 
@@ -185,6 +186,14 @@ class TestVerify:
         cpe.dist_s.table()[cpe.graph.interner.id_of(1)] = 99  # corrupt
         findings = verify_enumerator(cpe)
         assert any("Dist_s" in f for f in findings)
+
+    def test_detects_stale_mask(self, diamond):
+        cpe = CpeEnumerator(diamond, 0, 3, 3)
+        assert verify_enumerator(cpe) == []
+        victim = next(iter(cpe.index.right.paths()))
+        cpe.index.right.masks()[victim] = 0  # corrupt
+        findings = verify_enumerator(cpe)
+        assert any("stale mask" in f and str(victim) in f for f in findings)
 
     def test_assert_verified_raises_with_summary(self, diamond):
         cpe = CpeEnumerator(diamond, 0, 3, 3)

@@ -2,9 +2,9 @@
 
 Covers the dense-int vertex id space (:mod:`repro.graph.interning`),
 the optional-numpy switch (:mod:`repro.graph.npcompat`), the graph's
-dual-plane adjacency, the packed join levels / join program on the
-index, and the equivalence of the scalar and numpy join probes — the
-two legs must agree path-for-path, in order.
+dual-plane adjacency, the masks written with the index's paths and the
+join program built from them, and the equivalence of the scalar and
+numpy join probes — the two legs must agree path-for-path, in order.
 """
 
 import random
@@ -13,7 +13,12 @@ import pytest
 
 import repro.core.enumeration as enumeration_mod
 import repro.core.index as index_mod
-from repro.core.enumeration import enumerate_full, enumerate_full_list
+from repro.baselines.bruteforce import path_set
+from repro.core.enumeration import (
+    count_full,
+    enumerate_full,
+    enumerate_full_list,
+)
 from repro.core.enumerator import CpeEnumerator
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.interning import VertexInterner
@@ -165,7 +170,7 @@ class TestDualPlaneAdjacency:
 
 
 # ----------------------------------------------------------------------
-# Packed join levels and the join program
+# Written masks and the join program
 # ----------------------------------------------------------------------
 def make_indexed_enumerator():
     g = DynamicDiGraph(
@@ -176,42 +181,73 @@ def make_indexed_enumerator():
     return cpe
 
 
+def walked_probes(index, i, j):
+    """Plan pair ``(i, j)``'s probes in the nested dict/set walk order:
+    ``(lmask, lp, rmask, rtail, vcbit)`` per combination."""
+    left, right = index.left.bucket(i), index.right.bucket(j)
+    if len(left) <= len(right):
+        cut = [v for v in left if v in right]
+    else:
+        cut = [v for v in right if v in left]
+    return cut, [
+        (
+            index.left.mask_of(lp), lp,
+            index.right.mask_of(rp), rp[1:],
+            index.bits[v],
+        )
+        for v in cut
+        for lp in left[v]
+        for rp in right[v]
+    ]
+
+
+def step_probes(step):
+    """A program step's probes, from whichever layout it holds."""
+    if step.flat is not None:
+        return list(step.flat)
+    return [
+        (lmask, lp, rmask, rtail, vcbit)
+        for vcbit, lmasks, lpaths, rpairs in step.buckets
+        for lmask, lp in zip(lmasks, lpaths)
+        for rmask, rtail in rpairs
+    ]
+
+
 class TestPackedLevels:
-    def test_packed_level_mirrors_the_dict_walk(self):
+    @pytest.mark.parametrize(
+        "flat_max", [index_mod.PACK_FLAT_STEP_MAX, 0], ids=["flat", "buckets"]
+    )
+    def test_program_mirrors_the_dict_walk(self, monkeypatch, flat_max):
+        monkeypatch.setattr(index_mod, "PACK_FLAT_STEP_MAX", flat_max)
         cpe = make_indexed_enumerator()
         index = cpe.index
-        for length in index.left.lengths():
-            level = index.packed_left(length)
-            if level is None:  # level exists but holds no paths
-                assert index.left.count_at_length(length) == 0
+        steps = {(step.i, step.j): step for step in index.packed_program()}
+        assert steps
+        for i, j in index.plan:
+            if not index.left.bucket(i) or not index.right.bucket(j):
+                assert (i, j) not in steps
                 continue
-            walked = [
-                path
-                for vertex, paths in index.left.bucket(length).items()
-                for path in paths
-            ]
-            assert level.flat_paths == walked
-            for vertex, (start, end, vcbit) in level.slots.items():
-                assert all(
-                    p[-1] == vertex for p in level.flat_paths[start:end]
-                )
-                assert vcbit and (vcbit & (vcbit - 1)) == 0  # one bit
+            step = steps[(i, j)]
+            cut, probes = walked_probes(index, i, j)
+            assert step.cut_vertices == len(cut)
+            assert step.probe_total == len(probes)
+            assert (step.flat is not None) == (len(probes) < flat_max)
+            assert step_probes(step) == probes
 
     def test_masks_encode_exact_vertex_sets(self):
         cpe = make_indexed_enumerator()
+        cpe.insert_edge(1, 4)  # maintenance writes masks too
+        cpe.delete_edge(0, 2)
         index = cpe.index
-        for length in index.right.lengths():
-            level = index.packed_right(length)
-            if level is None:  # level exists but holds no paths
-                assert index.right.count_at_length(length) == 0
-                continue
-            assert level.tails is not None
-            for pos, path in enumerate(level.flat_paths):
+        bits = index.bits
+        assert sorted(bits.values()) == [1 << n for n in range(len(bits))]
+        for side in (index.left, index.right):
+            assert len(side.masks()) == len(side)
+            for path in side.paths():
                 expected = 0
                 for v in path:
-                    expected |= 1 << index._bits.id_of(v)
-                assert level.masks[pos] == expected
-                assert level.tails[pos] == path[1:]
+                    expected |= bits[v]
+                assert side.mask_of(path) == expected
 
     def test_version_bump_invalidates_the_cache(self):
         cpe = make_indexed_enumerator()
@@ -231,6 +267,23 @@ class TestPackedLevels:
         assert index.packed_program() is program
 
 
+def make_hub_graph(rng, width):
+    """``s=0 -> x -> hub -> y -> t`` over ``width`` middle vertices that
+    serve on both sides (``x == y`` combinations are not simple), plus
+    random extra edges among them.
+
+    The cut vertex ``hub`` keys ``width`` paths on each side of the
+    ``(2, 2)`` step: ``width ** 2`` probes in one bucket.
+    """
+    hub, t = width + 1, width + 2
+    middle = range(1, width + 1)
+    edges = [(0, x) for x in middle] + [(x, hub) for x in middle]
+    edges += [(hub, y) for y in middle] + [(y, t) for y in middle]
+    for _ in range(rng.randint(0, width)):
+        edges.append(tuple(rng.sample(middle, 2)))
+    return DynamicDiGraph(edges), 0, t
+
+
 # ----------------------------------------------------------------------
 # Join-probe equivalence: generator vs list vs numpy block
 # ----------------------------------------------------------------------
@@ -245,23 +298,48 @@ class TestJoinEquivalence:
 
     def test_numpy_block_probe_matches_scalar(self, monkeypatch):
         pytest.importorskip("numpy")
-        # Force every bucket through the block probe, then compare with
-        # the forced pure fallback: identical paths, identical order.
+        # Graphs whose hub bucket reaches the block probe's threshold
+        # unpatched; the forced pure fallback must emit identical paths
+        # in identical order, and count the same.
+        probe = enumeration_mod._np_block_probe
+        calls = []
+
+        def spy(*args):
+            calls.append(args[3])  # the bucket's vc bit
+            return probe(*args)
+
+        monkeypatch.setattr(enumeration_mod, "_np_block_probe", spy)
         rng = random.Random(303)
         for _ in range(10):
-            g = make_random_graph(rng)
-            s, t, k = random_query(rng, g)
-            cpe = CpeEnumerator(g, s, t, k)
+            width = rng.randint(64, 80)
+            assert width * width >= enumeration_mod._NP_PROBE_MIN
+            g, s, t = make_hub_graph(rng, width)
+            cpe = CpeEnumerator(g, s, t, 4)
             index = cpe.index
-            monkeypatch.setattr(enumeration_mod, "_NP_PROBE_MIN", 1)
-            index._program = None  # drop the flat-probe linearization
-            monkeypatch.setattr(index_mod, "PACK_FLAT_STEP_MAX", 0)
+            calls.clear()
             blocked = enumerate_full_list(index)
-            index._program = None
+            assert calls, "the block probe never ran"
+            assert count_full(index) == len(blocked)
+            words = {
+                vcbit: matrices
+                for step in index.packed_program()
+                for vcbit, matrices in step.words.items()
+            }
+            assert set(words) == set(calls)
+            enumerate_full_list(index)  # built once per program
+            assert all(
+                step.words[vcbit] is words[vcbit]
+                for step in index.packed_program()
+                for vcbit in step.words
+            )
             monkeypatch.setenv(NO_NUMPY_ENV, "1")
+            calls.clear()
             scalar = enumerate_full_list(index)
+            assert not calls
+            assert count_full(index) == len(scalar)
             monkeypatch.delenv(NO_NUMPY_ENV)
             assert blocked == scalar
+            assert set(blocked) == path_set(g, s, t, 4)
 
     def test_update_then_enumerate_matches_fresh_build(self):
         rng = random.Random(77)

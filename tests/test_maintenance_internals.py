@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.construction import build_index
+from repro.core.index import BitSpace
 from repro.core.maintenance import IndexMaintainer, UpdateRecord
 from repro.graph.digraph import DynamicDiGraph
 
@@ -71,9 +72,10 @@ class TestEdgeUsingMarks:
 class TestUpdateRecord:
     def test_delta_partial_paths(self):
         record = UpdateRecord(insert=True, changed=True)
-        record.left_delta.add(1, (0, 1))
-        record.right_delta.add(2, (2, 9))
-        record.right_delta.add(3, (3, 9))
+        mask = BitSpace().mask
+        record.left_delta.add(1, (0, 1), mask((0, 1)))
+        record.right_delta.add(2, (2, 9), mask((2, 9)))
+        record.right_delta.add(3, (3, 9), mask((3, 9)))
         assert record.delta_partial_paths == 3
 
     def test_apply_removals_rejects_insert_records(self):

@@ -19,10 +19,12 @@ from repro.core.enumeration import (
     enumerate_full_list,
 )
 from repro.core.enumerator import CpeEnumerator
-from repro.core.index import IndexMemoryStats, PathBuckets
+from repro.core.index import BitSpace, IndexMemoryStats, PathBuckets
 from repro.core.monitor import MultiPairMonitor
 from repro.core.paths import hops, is_simple
 from repro.core.plan import balanced_plan
+from repro.core.serialize import restore, snapshot
+from repro.core.verify import verify_enumerator
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
 from repro.obs.explain import recording
 
@@ -249,37 +251,46 @@ def paths_of(length):
 @SETTINGS
 def test_bucket_counters_track_every_write(data):
     buckets = PathBuckets()
+    bits = BitSpace()
     stored = set()
 
     def assert_counters():
         assert len(buckets) == len(stored)
         assert buckets.vertex_slots == sum(len(p) for p in stored)
         assert set(buckets.paths()) == stored
+        assert dict(buckets.masks()) == {p: bits.mask(p) for p in stored}
 
     for _ in range(data.draw(st.integers(0, 30))):
         kind = data.draw(st.sampled_from(("add", "remove", "bulk")))
         length = data.draw(st.integers(1, 4))
+        before = (set(stored), buckets.version)
         if kind == "remove" and stored:
             path = data.draw(st.sampled_from(sorted(stored)))
             assert buckets.remove(path[-1], path)
             stored.discard(path)
         elif kind == "bulk":
-            # The construction level search's write: new paths straight
-            # into the level dict, reported through note_added.
-            new = sorted(
-                set(data.draw(st.lists(paths_of(length), max_size=4)))
-                - stored
+            # The construction level search's write: a whole new level
+            # of paths with their masks.
+            if buckets.bucket(length):
+                continue
+            level = data.draw(st.lists(paths_of(length), max_size=4))
+            bucket = {}
+            for path in level:
+                bucket.setdefault(path[-1], set()).add(path)
+            buckets.add_level(
+                length, bucket, {p: bits.mask(p) for p in level}
             )
-            level = buckets.level_dict(length)
-            for path in new:
-                level.setdefault(path[-1], set()).add(path)
-            buckets.note_added(len(new), length)
-            stored.update(new)
+            stored.update(level)
         else:
             path = data.draw(paths_of(length))
-            assert buckets.add(path[-1], path) == (path not in stored)
+            assert buckets.add(path[-1], path, bits.mask(path)) == (
+                path not in stored
+            )
             stored.add(path)
         assert_counters()
+        # The version moves exactly when the stored paths do: it keys
+        # the join program's cache.
+        assert (buckets.version != before[1]) == (stored != before[0])
     # Drain, so every bucket loses its last path.
     for path in sorted(stored):
         assert buckets.remove(path[-1], path)
@@ -443,3 +454,87 @@ def test_join_modes_agree_and_account_exactly(thresholds, case):
             else:
                 cpe.insert_edge(u, v)
             check_join_modes(g, cpe)
+
+
+@st.composite
+def restore_streams(draw):
+    """A graph, a query, an update stream mixing random pairs (mostly
+    gated out) with edges at ``s`` or ``t`` (mostly relevant), and the
+    stream position of one snapshot restore.
+
+    Graphs are dense and ``k`` is at least 4, so insertions also write
+    paths that extend a new edge past its first hop (a maintenance
+    write path that sparse graphs rarely reach).
+    """
+    n = draw(st.integers(5, 8))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+        min_size=8, max_size=24,
+    ))
+    s = draw(vertex)
+    t = draw(vertex.filter(lambda v: v != s))
+    k = draw(st.integers(4, 6))
+    pairs = st.one_of(
+        st.tuples(vertex, vertex),
+        st.tuples(st.just(s), vertex),
+        st.tuples(vertex, st.just(t)),
+    ).filter(lambda e: e[0] != e[1])
+    stream = draw(st.lists(pairs, max_size=12))
+    restore_at = draw(st.integers(0, len(stream)))
+    return n, edges, s, t, k, stream, restore_at
+
+
+def check_program(cpe):
+    """The audit is clean, and the cached join program answers what a
+    program rebuilt with every cache dropped answers: brute force."""
+    assert verify_enumerator(cpe) == []
+    index = cpe.index
+    cached = enumerate_full_list(index)
+    cached_count = count_full(index)
+    program = index.packed_program()
+    index._program = None  # drop the program and its numpy word cache
+    rebuilt = enumerate_full_list(index)
+    assert index.packed_program() is not program
+    assert cached == rebuilt
+    assert cached_count == count_full(index) == len(rebuilt)
+    assert set(rebuilt) == path_set(cpe.graph, cpe.s, cpe.t, cpe.k)
+
+
+@pytest.mark.parametrize(
+    "thresholds", [None, (0, 1)], ids=["default", "bucket-steps-block-probe"]
+)
+@given(restore_streams())
+@SETTINGS
+def test_cached_program_matches_rebuild_through_updates_and_restore(
+    thresholds, case
+):
+    n, edges, s, t, k, stream, restore_at = case
+    with ExitStack() as patches:
+        if thresholds is not None:
+            flat_max, np_min = thresholds
+            patches.enter_context(
+                mock.patch.object(index_mod, "PACK_FLAT_STEP_MAX", flat_max)
+            )
+            patches.enter_context(
+                mock.patch.object(enumeration_mod, "_NP_PROBE_MIN", np_min)
+            )
+        cpe = CpeEnumerator(build(n, edges), s, t, k)
+        check_program(cpe)
+        current = path_set(cpe.graph, s, t, k)
+        steps = list(stream)
+        steps.insert(restore_at, None)
+        for step in steps:
+            if step is None:
+                cpe = restore(snapshot(cpe))
+            else:
+                # The delta join reads the masks the update wrote.
+                u, v = step
+                insert = not cpe.graph.has_edge(u, v)
+                result = cpe.apply(EdgeUpdate(u, v, insert))
+                fresh = path_set(cpe.graph, s, t, k)
+                assert sorted(result.paths) == sorted(
+                    fresh - current if insert else current - fresh
+                )
+                current = fresh
+            check_program(cpe)
