@@ -2,7 +2,7 @@
 
 import pytest
 
-from benchmarks.conftest import bench_config, publish
+from benchmarks.conftest import publish
 from repro.experiments import table1
 from repro.graph import datasets
 from repro.graph.stats import diameter_estimate

@@ -4,17 +4,16 @@
 Usage::
 
     python benchmarks/check_flight.py path/to/flight.json \
-        [--reason shard-crash] [--min-processes 2]
+        [--reason deadline-burst] [--min-processes 1]
 
 Checks, in order:
 
 1. the file is a ``repro-flight/1`` bundle that
    :func:`repro.obs.flight.validate_flight_bundle` accepts;
-2. with ``--reason``, the bundle's recorded trigger matches (a crash
-   dump must say ``shard-crash``, not ``manual``);
+2. with ``--reason``, the bundle's recorded trigger matches (a burst
+   dump must say ``deadline-burst``, not ``manual``);
 3. with ``--min-processes``, at least that many process records made it
-   into the bundle — a crash dump gathered from a 2-worker fleet with
-   one dead shard must still carry the coordinator plus the survivor.
+   into the bundle.
 
 Exit status 0 when the bundle is sound, 1 with one problem per line
 otherwise — the shape CI steps want.
@@ -81,12 +80,10 @@ def main(argv: List[str]) -> int:
             print(f"FLIGHT PROBLEM: {problem}")
         return 1
     processes = payload["processes"]
-    shards = sum(1 for p in processes if p.get("role") == "shard")
     spans = sum(len(p.get("spans", [])) for p in processes)
     print(
         f"flight OK: reason {payload['reason']!r}, "
-        f"{len(processes)} process records ({shards} shards), "
-        f"{spans} spans"
+        f"{len(processes)} process records, {spans} spans"
     )
     return 0
 

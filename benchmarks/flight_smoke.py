@@ -1,26 +1,26 @@
 #!/usr/bin/env python
-"""Crash a shard under ``repro serve --workers N`` and collect the dump.
+"""Set off a deadline burst under ``repro serve`` and collect the dump.
 
 The CI flight-recorder smoke: start a real server subprocess with the
-flight recorder on, learn the shard worker pids from an on-demand
-``flight`` bundle, SIGKILL one shard, then issue an update so the
-coordinator trips over the dead pipe — the engine's crash hook must
-write ``repro-flight-shard-crash.json`` into ``--flight-dir`` before
-the error reaches the client.
+flight recorder on, send a few real requests so the recorder has spans,
+then send enough ``query`` requests with ``deadline_ms: 0`` to trip the
+deadline-burst trigger — the server must write
+``repro-flight-deadline-burst.json`` into ``--flight-dir``, and keep
+answering normally afterwards.
 
 Usage::
 
     python benchmarks/flight_smoke.py --out-dir flight-smoke --port 7497
 
 Prints the dump path on success (exit 0); exits 1 with a diagnostic if
-the server never comes up, the shard survives, or no dump appears.
-Validate the dump itself with ``check_flight.py``.
+the server never comes up, a zero-deadline request is not refused, the
+server stops answering, or no dump appears.  Validate the dump itself
+with ``check_flight.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import subprocess
 import sys
@@ -29,9 +29,12 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.service.client import ServiceClient
-from repro.service.protocol import ServiceError
+from repro.service.protocol import DEADLINE_EXCEEDED
 
-CRASH_DUMP = "repro-flight-shard-crash.json"
+BURST_DUMP = "repro-flight-deadline-burst.json"
+
+#: Deadline misses sent; the server's burst trigger fires at five.
+BURST_SIZE = 5
 
 
 def _connect(port: int, deadline: float) -> ServiceClient:
@@ -54,7 +57,6 @@ def main(argv: List[str]) -> int:
         help="--flight-dir for the server (dump lands here)",
     )
     parser.add_argument("--port", type=int, default=7497)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument(
         "--timeout", type=float, default=90.0,
         help="overall deadline in seconds",
@@ -63,7 +65,7 @@ def main(argv: List[str]) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_path = out_dir / CRASH_DUMP
+    dump_path = out_dir / BURST_DUMP
     if dump_path.exists():
         dump_path.unlink()
 
@@ -74,7 +76,6 @@ def main(argv: List[str]) -> int:
         [
             sys.executable, "-m", "repro", "serve", "EP",
             "--scale", "0.1",
-            "--workers", str(args.workers),
             "--port", str(args.port),
             "--metrics", "--events", "--tracing",
             "--flight-window", "30",
@@ -88,36 +89,28 @@ def main(argv: List[str]) -> int:
     try:
         client = _connect(args.port, deadline)
         with client:
-            # Real traffic so the recorders have spans to dump.
+            # Real traffic so the recorder has spans to dump.
             client.query(23, 4, 6)
             client.insert_edge(23, 4)
+            client.delete_edge(23, 4)
 
-            bundle = client.flight(reason="smoke")["bundle"]
-            shard_pids = [
-                record["pid"]
-                for record in bundle["processes"]
-                if record.get("role") == "shard"
-            ]
-            if len(shard_pids) < args.workers:
-                print(
-                    "FLIGHT SMOKE PROBLEM: expected "
-                    f"{args.workers} shard records, got {shard_pids}"
+            for _ in range(BURST_SIZE):
+                response = client.request(
+                    "query", deadline_ms=0, s=23, t=4, k=6
                 )
-                return 1
-
-            os.kill(shard_pids[0], signal.SIGKILL)
-
-            # The broadcast to the dead shard surfaces as an internal
-            # error — the crash dump is written before it is returned.
-            try:
-                client.delete_edge(23, 4)
-            except (ServiceError, ConnectionError):
-                pass
+                code = (response.error or {}).get("code")
+                if code != DEADLINE_EXCEEDED:
+                    print(
+                        "FLIGHT SMOKE PROBLEM: a zero-deadline query "
+                        f"answered {response.result or response.error!r}"
+                    )
+                    return 1
+            client.query(23, 4, 6)
 
         while not dump_path.exists() and time.perf_counter() < deadline:
             time.sleep(0.2)
         if not dump_path.exists():
-            print(f"FLIGHT SMOKE PROBLEM: no {CRASH_DUMP} in {out_dir}")
+            print(f"FLIGHT SMOKE PROBLEM: no {BURST_DUMP} in {out_dir}")
             return 1
         print(dump_path)
         return 0
@@ -136,6 +129,7 @@ if __name__ == "__main__":
 
 
 __all__ = [
-    "CRASH_DUMP",
+    "BURST_DUMP",
+    "BURST_SIZE",
     "main",
 ]

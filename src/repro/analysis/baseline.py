@@ -21,7 +21,7 @@ File format (committed, diff-reviewable)::
     {
       "schema": "repro-lint-baseline/1",
       "entries": {
-        "R010::src/repro/batching/window.py::self._timer = None": 2
+        "R010::src/repro/service/admission.py::self._expired += 1": 2
       }
     }
 """

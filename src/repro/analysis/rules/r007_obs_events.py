@@ -3,9 +3,8 @@
 The serving layers have a structured observability channel
 (:mod:`repro.obs.events`): typed, correlation-stamped, bounded, and
 pollable over the wire.  A stray ``print(...)`` or ``logging`` call in
-``repro.core``, ``repro.service``, ``repro.parallel``, or
-``repro.batching`` bypasses all of that — it interleaves with protocol output on stdout in embedded runs
-(and, for worker processes, scrambles the parent's terminal), is
+``repro.core`` or ``repro.service`` bypasses all of that — it
+interleaves with protocol output on stdout in embedded runs, is
 invisible to ``repro top`` and the ``events`` op, and carries no
 correlation id.
 Emit an event (or raise) instead; genuinely exceptional diagnostics can
@@ -26,8 +25,6 @@ from repro.analysis.visitor import RuleVisitor
 SCOPED_PREFIXES: Tuple[str, ...] = (
     "repro.core",
     "repro.service",
-    "repro.parallel",
-    "repro.batching",
 )
 
 
@@ -72,14 +69,13 @@ class _ObsEventsVisitor(RuleVisitor):
 
 @register
 class ObsEventsRule(Rule):
-    """No ``print``/``logging`` in the engine, service, or parallel layer."""
+    """No ``print``/``logging`` in the engine or service layer."""
 
     code = "R007"
     name = "obs-events"
     description = (
-        "repro.core, repro.service, repro.parallel, and repro.batching "
-        "must not print or use stdlib logging; diagnostics go through "
-        "repro.obs.events"
+        "repro.core and repro.service must not print or use stdlib "
+        "logging; diagnostics go through repro.obs.events"
     )
 
     def check(

@@ -1,13 +1,12 @@
 """R008 — nondeterminism sources reachable from equivalence-gated code.
 
-The scaling layers (``repro.parallel``, ``repro.batching``) are gated
-on *byte-identical* equivalence with sequential execution, and the
-fixed-seed CI benchmarks diff their output run to run.  One stray
-wall-clock read, unseeded ``random`` call, ``uuid1/uuid4`` mint,
-unsorted directory listing, or ``id()``-based ordering anywhere in
-``repro.core`` / ``repro.parallel`` / ``repro.batching`` — **or in any
-function those layers reach through the call graph** — breaks those
-gates nondeterministically, which is the worst way to break them.
+The algorithm layer (``repro.core``) is gated on *byte-identical*
+answers: CI diffs the fixed-seed benchmark's answers across the numpy
+and no-numpy legs.  One stray wall-clock read, unseeded ``random``
+call, ``uuid1/uuid4`` mint, unsorted directory listing, or
+``id()``-based ordering anywhere in ``repro.core`` — **or in any
+function it reaches through the call graph** — breaks that gate
+nondeterministically, which is the worst way to break it.
 
 Flagged:
 
@@ -42,8 +41,6 @@ from repro.analysis.visitor import dotted_name
 #: Package prefixes whose output is equivalence-gated.
 SCOPED_PREFIXES: Tuple[str, ...] = (
     "repro.core",
-    "repro.parallel",
-    "repro.batching",
 )
 
 _WALL_CLOCK = {
@@ -270,7 +267,7 @@ class NondeterminismRule(Rule):
     code = "R008"
     name = "nondeterminism"
     description = (
-        "repro.core/parallel/batching (and functions they reach) must not "
+        "repro.core (and functions it reaches) must not "
         "read wall clocks, draw unseeded randomness, mint uuid1/uuid4, "
         "consume unsorted directory listings, or order by id()"
     )

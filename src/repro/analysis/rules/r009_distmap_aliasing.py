@@ -1,15 +1,15 @@
 """R009 — shared ``DistanceMap`` masters must be cloned before injection.
 
-The shared-construction path (:mod:`repro.batching`) builds one
-hop-capped BFS master per hub and seeds many index builds from it by
-passing ``dist_s=`` / ``dist_t=`` into
+The service cache's miss path (:mod:`repro.service.cache`) seeds a new
+index build from a live entry's hop-capped BFS map by passing
+``dist_s=`` / ``dist_t=`` into
 :func:`repro.core.construction.build_index`.  The contract (documented
 on ``build_index`` itself) is that an injected map is *owned by the
 returned index's maintainer from then on* — so a master that is reused
 must be passed as a :meth:`~repro.core.distance.DistanceMap.clone`.
-Violating it does not crash: the first update after the batch mutates
-every aliased index's distances at once, and the equivalence gates
-catch it hours later as silently wrong answers.
+Violating it does not crash: the first update after the build mutates
+every aliased index's distances at once — silently wrong answers that
+only a differential check against brute force catches.
 
 A single-file linter cannot see this — the master lives in one
 function, the injection in another, often in another module.  R009

@@ -1,8 +1,7 @@
 """R010 — unsynchronized attribute writes across concurrent entry points.
 
 The service layer (:mod:`repro.service`) mixes asyncio handlers with
-thread-pool executors, and the scaling layers hand engine state to
-worker processes.  An instance attribute written from **two different
+thread-pool executors.  An instance attribute written from **two different
 coroutine entry points**, or from **both async and sync code** (the
 executor + event-loop split), without an ``asyncio.Lock`` (or any
 ``with <...lock...>`` guard) is a race: the interleaving that corrupts
@@ -34,8 +33,6 @@ from repro.analysis.registry import LintContext, Rule, register
 #: Packages with concurrent entry points worth policing.
 SCOPED_PREFIXES: Tuple[str, ...] = (
     "repro.service",
-    "repro.batching",
-    "repro.parallel",
 )
 
 

@@ -11,14 +11,14 @@ Commands:
 - ``serve`` — run the path-query service (newline-delimited JSON over
   TCP; see :mod:`repro.service`); ``--metrics`` turns on the
   :mod:`repro.obs` instrumentation and the ``metrics`` protocol op
-  then serves live JSON/Prometheus dumps; ``--tracing`` stitches
-  coordinator and shard spans into one trace (``trace`` op), the
-  flight recorder and time-series ring run by default
-  (``--flight-window`` / ``--history-interval``), and ``SIGUSR2``
-  dumps a ``repro-flight/1`` bundle on demand;
-- ``flight-dump`` — pull a ``repro-flight/1`` bundle (the last seconds
-  of spans, events, metrics and time-series from the coordinator and
-  every shard) from a running server and write it to a file;
+  then serves live JSON/Prometheus dumps; ``--tracing`` captures
+  spans as a Chrome trace (``trace`` op), the flight recorder and
+  time-series ring run by default (``--flight-window`` /
+  ``--history-interval``), a burst of deadline misses or ``SIGUSR2``
+  dumps a ``repro-flight/1`` bundle;
+- ``flight-dump`` — pull a ``repro-flight/1`` bundle (the server's last
+  seconds of spans, events, metrics and time-series) from a running
+  server and write it to a file;
 - ``bench-serve`` — load-test an in-process server and report
   throughput and p50/p99 latency;
 - ``profile`` — run a small construction/enumeration/maintenance
@@ -31,9 +31,8 @@ Commands:
   (``--format trace``, loadable in ``chrome://tracing`` / Perfetto);
 - ``top`` — plain-terminal live dashboard for a running server: QPS,
   p95 latency, cache hit rate, in-flight requests, recent events,
-  time-series sparklines (``history`` op), per-shard metrics with
-  ``--per-shard``, and a stable-key one-shot snapshot via
-  ``--once --format json``;
+  time-series sparklines (``history`` op), and a stable-key one-shot
+  snapshot via ``--once --format json``;
 - ``lint`` — run the project-specific static analysis
   (:mod:`repro.analysis`, rules R001–R007; see docs/ANALYSIS.md).
 """
@@ -176,27 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "entry's partial path index only, not its two "
                          "distance maps (often several times larger)")
     sv.add_argument(
-        "--workers", type=int, default=1,
-        help="shard watched pairs across N worker processes "
-             "(repro.parallel); 1 = single-process",
-    )
-    sv.add_argument(
         "--watch", action="append", default=[], metavar="S:T",
         help="pre-register a watched pair, repeatable (e.g. --watch 3:42)",
-    )
-    sv.add_argument(
-        "--planner", choices=("auto", "index", "direct"), default="index",
-        help="ad-hoc query planning: 'index' (default) always builds "
-             "through the warm cache, 'auto' cost-picks per query "
-             "between cached / full-index / direct one-shot join, "
-             "'direct' forces the index-free join; answers are "
-             "byte-identical across modes",
-    )
-    sv.add_argument(
-        "--batch-window", type=float, default=None, metavar="MS",
-        help="gather concurrent query requests for up to MS milliseconds "
-             "and execute each batch through the shared-construction "
-             "engine (repro.batching); off by default",
     )
     sv.add_argument(
         "--metrics", action="store_true",
@@ -210,15 +190,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument(
         "--tracing", action="store_true",
-        help="capture spans here and in every shard worker, stitched "
-             "into one coordinator-rooted trace (poll the 'trace' op "
-             "for merged Chrome trace JSON)",
+        help="capture spans (poll the 'trace' op for Chrome trace JSON)",
     )
     sv.add_argument(
         "--flight-window", type=float, default=30.0, metavar="S",
         help="flight-recorder window in seconds — the last S seconds "
-             "of spans/events/metrics are dumpable on shard crash, "
-             "deadline bursts, SIGUSR2, the 'flight' op, or "
+             "of spans/events/metrics are dumpable on deadline "
+             "bursts, SIGUSR2, the 'flight' op, or "
              "'repro flight-dump' (0 disables; default: 30)",
     )
     sv.add_argument(
@@ -262,19 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--deadline-ms", type=float, default=None,
                     help="per-request deadline passed with every request")
     bs.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="send up to N consecutive queries as one batch_query "
-             "request (shared construction); off by default",
-    )
-    bs.add_argument(
         "--zipf", type=float, default=None, metavar="A",
         help="zipf-skew query-pair popularity with exponent A "
              "(hot-pair traffic); default: uniform",
-    )
-    bs.add_argument(
-        "--planner", choices=("auto", "index", "direct"), default="index",
-        help="ad-hoc query planning mode on the benched server "
-             "(see 'repro serve --planner')",
     )
     bs.add_argument("--seed", type=int, default=7)
     bs.add_argument("--save", metavar="FILE", default=None,
@@ -320,20 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="run the enumeration and report measured "
                          "probe/emit cardinalities")
     xp.add_argument(
-        "--planner", choices=("auto", "index", "direct"), default=None,
-        help="also preview the cost-based planner in this mode: chosen "
-             "plan, per-plan costs, estimated vs. actual cardinalities",
-    )
-    xp.add_argument(
         "--format", choices=("text", "json", "trace"), default="text",
         help="'trace' emits Chrome trace-event JSON for "
              "chrome://tracing / Perfetto",
-    )
-    xp.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="with --format trace: additionally run the query sharded "
-             "across N worker processes and merge their spans into the "
-             "trace (one labelled row per process, one trace id)",
     )
     xp.add_argument("--out", metavar="FILE", default=None,
                     help="write the output to FILE instead of stdout")
@@ -359,9 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'json' emits one machine-readable snapshot with stable "
              "key order (implies --once)",
     )
-    tp.add_argument("--per-shard", action="store_true",
-                    help="show each shard worker's own metrics "
-                         "alongside the fleet merge")
 
     ln = sub.add_parser(
         "lint",
@@ -480,22 +434,15 @@ def _cmd_serve(args) -> int:
 
         events.set_enabled(True)
         print("events: structured event log enabled (poll the 'events' op)")
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     graph = datasets.load(args.dataset, args.scale)
     engine = PathQueryEngine(
         graph,
         default_k=args.k,
         cache_budget_bytes=args.cache_budget,
-        workers=args.workers,
         tracing=args.tracing,
         flight_window=max(args.flight_window, 0.0),
         timeseries_interval=max(args.history_interval, 0.0),
-        planner=args.planner,
     )
-    if args.planner != "index":
-        print(f"planner: ad-hoc queries planned in {args.planner!r} mode")
     flight_dir = Path(args.flight_dir)
 
     def _write_flight(reason: str, bundle: dict) -> None:
@@ -509,7 +456,7 @@ def _cmd_serve(args) -> int:
     engine.on_flight_dump = _write_flight
     if args.tracing:
         print("tracing: span capture on (poll the 'trace' op for the "
-              "merged Chrome trace)")
+              "Chrome trace)")
     if args.flight_window > 0:
         print(f"flight: recording the last {args.flight_window:g}s "
               f"(dumps to {flight_dir}; trigger via SIGUSR2, the "
@@ -517,15 +464,6 @@ def _cmd_serve(args) -> int:
     if args.history_interval > 0:
         print(f"history: metrics sampled every {args.history_interval:g}s "
               "(poll the 'history' op)")
-    if args.workers > 1:
-        print(f"parallel: watched pairs sharded across "
-              f"{args.workers} worker processes")
-    if args.batch_window is not None and args.batch_window <= 0:
-        print("error: --batch-window must be positive", file=sys.stderr)
-        return 2
-    if args.batch_window is not None:
-        print(f"batching: query requests gathered for up to "
-              f"{args.batch_window:g} ms per batch")
     for s, t in pairs:
         initial = engine.op_watch(s, t)
         print(f"watch ({s}, {t}): {initial['count']} initial paths")
@@ -536,7 +474,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             capacity=args.capacity,
-            batch_window_ms=args.batch_window,
         )
         await server.start()
         if hasattr(signal, "SIGUSR2"):
@@ -602,9 +539,6 @@ def _cmd_bench_serve(args) -> int:
     from repro.service.server import serve_in_thread
     from repro.workloads.traffic import service_traffic
 
-    if args.batch_size is not None and args.batch_size < 1:
-        print("error: --batch-size must be at least 1", file=sys.stderr)
-        return 2
     graph = datasets.load(args.dataset, args.scale)
     ops = service_traffic(
         graph,
@@ -619,7 +553,6 @@ def _cmd_bench_serve(args) -> int:
         graph,
         default_k=args.k,
         cache_budget_bytes=args.cache_budget,
-        planner=args.planner,
     )
     watched = 0
     for op in ops:
@@ -635,34 +568,15 @@ def _cmd_bench_serve(args) -> int:
             handle.port,
             ops,
             deadline_ms=args.deadline_ms,
-            batch_size=args.batch_size,
         )
     finally:
         handle.stop()
-    mode = ""
-    if args.batch_size is not None:
-        mode = f", batch size {args.batch_size}"
-    if args.zipf is not None:
-        mode += f", zipf {args.zipf:g}"
+    mode = f", zipf {args.zipf:g}" if args.zipf is not None else ""
     print(f"bench-serve {args.dataset} scale {args.scale}: "
           f"{len(ops)} requests "
           f"({sum(1 for op in ops if op[0] == 'update')} updates, "
           f"{watched} watched pairs{mode})")
     print(report.format())
-    if args.batch_size is not None:
-        batching = engine.batcher.stats()
-        print(f"batching    {batching['batches']} batches · "
-              f"{batching['grouped_members']} grouped members · "
-              f"{batching['bfs_saved']} BFS saved · "
-              f"{batching['memo_answers']} memo answers")
-    if args.planner != "index":
-        planner = engine.planner.stats()
-        by_plan = planner["by_plan"]
-        print(f"planner     mode {planner['mode']} · "
-              f"{planner['decisions']} decisions · "
-              f"index {by_plan['index']} / direct {by_plan['direct']} / "
-              f"cached {by_plan['cached']} · "
-              f"est err avg {planner['estimate_error_avg']:.2f}")
     if args.save:
         import json
 
@@ -803,17 +717,6 @@ def _cmd_explain(args) -> int:
     elif not (graph.has_vertex(s) and graph.has_vertex(t)):
         print("error: s/t not in the graph", file=sys.stderr)
         return 2
-    if args.workers > 1 and args.format != "trace":
-        print("error: --workers requires --format trace", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    planner = None
-    if args.planner is not None:
-        from repro.planner import QueryPlanner
-
-        planner = QueryPlanner(graph, cache=None, mode=args.planner)
     try:
         if args.format == "trace":
             # Spans only fire with obs enabled; the trace buffer needs
@@ -822,22 +725,15 @@ def _cmd_explain(args) -> int:
             try:
                 with obs.tracing() as buffer:
                     report = obs.explain_query(
-                        graph, s, t, args.k, analyze=args.analyze,
-                        planner=planner,
+                        graph, s, t, args.k, analyze=args.analyze
                     )
-                if args.workers > 1:
-                    payload = _sharded_explain_trace(
-                        graph, report, buffer, s, t, args.k, args.workers
-                    )
-                else:
-                    payload = report.to_chrome_trace(buffer)
+                payload = report.to_chrome_trace(buffer)
             finally:
                 obs.set_enabled(previous)
             rendered = json.dumps(payload, indent=2, sort_keys=True)
         else:
             report = obs.explain_query(graph, s, t, args.k,
-                                       analyze=args.analyze,
-                                       planner=planner)
+                                       analyze=args.analyze)
             if args.format == "json":
                 rendered = json.dumps(
                     report.to_dict(), indent=2, sort_keys=True
@@ -858,42 +754,6 @@ def _cmd_explain(args) -> int:
               "path count", file=sys.stderr)
         return 1
     return 0
-
-
-def _sharded_explain_trace(graph, report, buffer, s, t, k, workers) -> dict:
-    """Merge the local explain capture with a sharded run of the same
-    query: one trace id, one labelled row per process.
-
-    The local run supplies the explain instants and report; the sharded
-    run supplies worker-side construction/dispatch spans, rebased onto
-    this process's clock by :meth:`ShardedMonitor.collect_traces`.
-    """
-    import os
-
-    from repro.obs import distributed
-    from repro.parallel import ShardedMonitor
-
-    report.annotate_trace(buffer)
-    context = distributed.TraceContext.new_root()
-    with ShardedMonitor(graph, k, workers=workers, tracing=True) as sharded:
-        with distributed.bind_context(context):
-            sharded.watch(s, t, k)
-        shard_traces = sharded.collect_traces()
-    processes = [distributed.ProcessTrace(
-        "coordinator", os.getpid(), buffer.spans(), buffer.instants()
-    )]
-    for shard_trace in shard_traces:
-        processes.append(distributed.ProcessTrace(
-            f"shard {shard_trace['shard']}",
-            shard_trace["pid"],
-            shard_trace["spans"],
-            shard_trace["instants"],
-        ))
-    return distributed.merge_chrome_trace(processes, metadata={
-        "explain": report.to_dict(),
-        "trace_id": context.trace_id,
-        "workers": workers,
-    })
 
 
 def _counter_total(snapshot: dict, prefix: str) -> float:
@@ -958,31 +818,9 @@ def _render_history_lines(history_payload, width=60) -> list:
     return lines
 
 
-def _render_shard_lines(metrics_payload) -> list:
-    """Per-shard dispatch latency rows from ``metrics --per-shard``."""
-    shards = metrics_payload.get("shards", [])
-    if not shards:
-        return ["  per-shard: no shard workers reporting"]
-    lines = ["  per-shard dispatch latency:"]
-    for entry in shards:
-        histogram = entry.get("metrics", {}).get("histograms", {}).get(
-            "parallel.shard.dispatch.seconds"
-        )
-        if histogram and histogram.get("count"):
-            lines.append(
-                f"    shard {entry['shard']}: "
-                f"{int(histogram['count'])} dispatches   "
-                f"p50 {histogram['p50'] * 1000.0:.2f} ms   "
-                f"p95 {histogram['p95'] * 1000.0:.2f} ms"
-            )
-        else:
-            lines.append(f"    shard {entry['shard']}: no dispatches yet")
-    return lines
-
-
 def _render_top_frame(address, iteration, interval, stats, snapshot,
                       event_payload, max_events, qps,
-                      history_payload=None, shard_payload=None) -> str:
+                      history_payload=None) -> str:
     """One dashboard refresh, as plain text (no curses, no ANSI)."""
     lines = [f"repro top — {address}   "
              f"refresh #{iteration} (every {interval:g}s)"]
@@ -1022,44 +860,8 @@ def _render_top_frame(address, iteration, interval, stats, snapshot,
         f"{graph.get('edges', '?')} edges   "
         f"watched pairs {stats.get('watched_pairs', '?')}"
     )
-    parallel = stats.get("parallel", {})
-    if parallel.get("workers", 1) > 1:
-        shards = parallel.get("pairs_per_shard", [])
-        spread = "/".join(str(n) for n in shards) if shards else "?"
-        lines.append(
-            f"  parallel {parallel['workers']} workers   "
-            f"pairs per shard {spread}"
-        )
-    planner = stats.get("planner", {})
-    if planner.get("decisions", 0):
-        by_plan = planner.get("by_plan", {})
-        lines.append(
-            f"  planner mode {planner.get('mode', '?')}   "
-            f"{planner.get('decisions', 0)} decisions   "
-            f"index {by_plan.get('index', 0)} / "
-            f"direct {by_plan.get('direct', 0)} / "
-            f"cached {by_plan.get('cached', 0)}   "
-            f"est err avg {planner.get('estimate_error_avg', 0.0):.2f}"
-        )
-    batching = stats.get("batching", {})
-    if batching.get("batches", 0):
-        window = stats.get("server", {}).get("batch_window", {})
-        window_text = ""
-        if window:
-            window_text = (f"   window {window.get('window_ms', '?')} ms "
-                           f"({window.get('flushed_batches', 0)} flushes)")
-        members = batching.get("members", 0)
-        batches = batching.get("batches", 1) or 1
-        lines.append(
-            f"  batching {batches} batches   "
-            f"avg size {members / batches:.1f}   "
-            f"BFS saved {batching.get('bfs_saved', 0)}   "
-            f"memo {batching.get('memo_answers', 0)}{window_text}"
-        )
     if history_payload is not None and history_payload.get("enabled"):
         lines.extend(_render_history_lines(history_payload))
-    if shard_payload is not None:
-        lines.extend(_render_shard_lines(shard_payload))
     if event_payload.get("enabled"):
         tail = event_payload.get("events", [])[-max_events:]
         lines.append(f"  recent events ({event_payload.get('total_emitted', 0)}"
@@ -1100,7 +902,7 @@ def _cmd_top(args) -> int:
             while True:
                 iteration += 1
                 stats = client.stats()
-                metrics_payload = client.metrics(per_shard=args.per_shard)
+                metrics_payload = client.metrics()
                 snapshot = metrics_payload.get("metrics", {})
                 event_payload = client.events(limit=args.events)
                 history_payload = client.history()
@@ -1128,9 +930,6 @@ def _cmd_top(args) -> int:
                         f"{args.host}:{args.port}", iteration, args.interval,
                         stats, snapshot, event_payload, args.events, qps,
                         history_payload=history_payload,
-                        shard_payload=(
-                            metrics_payload if args.per_shard else None
-                        ),
                     )
                     if (not once and not args.no_clear
                             and sys.stdout.isatty()):

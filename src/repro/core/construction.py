@@ -85,9 +85,9 @@ def build_index(
     measure the dynamic cut's benefit against the fixed ``⌈k/2⌉`` cut.
 
     ``dist_s`` / ``dist_t`` inject pre-built distance maps and skip the
-    corresponding BFS of the preprocessing step — the shared-construction
-    hook used by :mod:`repro.batching` when several queries in a batch
-    share an endpoint hub.  An injected map must have been built for the
+    corresponding BFS of the preprocessing step — the hook the service
+    cache's miss path uses to reuse a live entry's map for a shared
+    endpoint.  An injected map must have been built for the
     matching endpoint and ``horizon=k`` over the current graph state
     (this is validated for source/horizon; content freshness is the
     caller's contract), and is owned by the returned index's maintainer

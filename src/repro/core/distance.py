@@ -148,9 +148,8 @@ class DistanceMap:
 
         A clone is indistinguishable from a freshly built map over the
         same view, which is what lets one BFS pass seed many query
-        indexes (the service cache's miss path, :mod:`repro.batching`):
-        each consumer's maintainer mutates its own clone, never the
-        shared master.
+        indexes (the service cache's miss path): each consumer's
+        maintainer mutates its own clone, never the shared master.
         """
         twin = object.__new__(DistanceMap)
         twin._view = self._view

@@ -118,8 +118,8 @@ class CpeEnumerator:
 
         Unlike :meth:`from_parts` the construction statistics are kept,
         so an enumerator assembled from an external build (e.g. the
-        shared-construction pass in :mod:`repro.batching`, which injects
-        pre-built distance maps) is indistinguishable from one built by
+        service cache's miss path, which injects distance maps cloned
+        from live entries) is indistinguishable from one built by
         ``__init__``.
         """
         self = cls.from_parts(graph, build.index, build.dist_s, build.dist_t)

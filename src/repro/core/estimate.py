@@ -39,9 +39,9 @@ def derive_seed(s: Vertex, t: Vertex, k: int) -> int:
     """A deterministic RNG seed for the query ``(s, t, k)``.
 
     Stable across processes and runs (unlike ``hash()``, which varies
-    with ``PYTHONHASHSEED``), so estimator-backed decisions — the query
-    planner above all — are reproducible without threading an explicit
-    seed through every call site.
+    with ``PYTHONHASHSEED``), so estimator-backed decisions are
+    reproducible without threading an explicit seed through every call
+    site.
     """
     return zlib.crc32(repr((s, t, k)).encode("utf-8"))
 

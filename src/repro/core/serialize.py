@@ -30,63 +30,6 @@ PathLike = Union[str, Path]
 _FORMAT = "repro/cpe-snapshot"
 _VERSION = 1
 
-_GRAPH_FORMAT = "repro/graph-snapshot"
-_GRAPH_VERSION = 2
-
-
-def graph_snapshot(graph: DynamicDiGraph) -> dict:
-    """The graph's full edge/vertex state as a JSON-compatible dict.
-
-    The replica-seeding payload of the shard layer
-    (:mod:`repro.parallel`): each worker process rebuilds its private
-    graph copy from this dict via :func:`restore_graph` and then stays
-    in sync by replaying the same update stream as the parent.
-
-    Version 2 is the packed CSR form produced by
-    :meth:`~repro.graph.digraph.DynamicDiGraph.packed_adjacency` — one
-    bulk copy out of the interned adjacency arrays instead of a
-    per-edge Python loop: ``vertices`` in graph insertion order,
-    ``indptr``/``indices`` the out-adjacency in CSR layout with
-    neighbors as *positions* into ``vertices``, so the payload is
-    self-contained regardless of vertex labels.
-    """
-    vertices, indptr, indices = graph.packed_adjacency()
-    return {
-        "format": _GRAPH_FORMAT,
-        "version": _GRAPH_VERSION,
-        "vertices": vertices,
-        "indptr": indptr,
-        "indices": indices,
-    }
-
-
-def restore_graph(state: dict) -> DynamicDiGraph:
-    """Rebuild a graph from a :func:`graph_snapshot` dict (v1 or v2).
-
-    Vertices are registered first (in payload order), then edges in CSR
-    walk order — the same sequence either snapshot version encodes, so
-    every replica restored from one payload has identical insertion
-    ordering and therefore byte-identical iteration behavior.
-    """
-    if state.get("format") != _GRAPH_FORMAT:
-        raise ValueError("not a graph snapshot")
-    version = state.get("version")
-    if version == 1:
-        return DynamicDiGraph(
-            edges=(tuple(edge) for edge in state["edges"]),
-            vertices=state["vertices"],
-        )
-    if version != _GRAPH_VERSION:
-        raise ValueError(f"unsupported graph snapshot version {version!r}")
-    vertices = state["vertices"]
-    indptr = state["indptr"]
-    indices = state["indices"]
-    graph = DynamicDiGraph(vertices=vertices)
-    for pos, u in enumerate(vertices):
-        for slot in range(indptr[pos], indptr[pos + 1]):
-            graph.add_edge(u, vertices[indices[slot]])
-    return graph
-
 
 def snapshot(cpe: CpeEnumerator) -> dict:
     """The enumerator's full state as a JSON-compatible dict."""
@@ -131,26 +74,6 @@ def restore(state: dict) -> CpeEnumerator:
     return CpeEnumerator.from_parts(graph, index, dist_s, dist_t)
 
 
-def snapshot_size_bytes(cpe: CpeEnumerator, include_graph: bool = True) -> int:
-    """Serialized size of an enumerator's state, in bytes.
-
-    The measure is the length of the compact JSON encoding of
-    :func:`snapshot` — the exact cost of persisting (or shipping) the
-    enumerator.  With ``include_graph=False`` the shared graph payload
-    (``vertices`` / ``edges``) is excluded, leaving only the per-query
-    state: plan, direct-edge flag and the partial path index.  That
-    variant is the sizing hook used by the service layer's index cache
-    (:class:`repro.service.cache.IndexCache`), where many cached
-    queries share one graph and only the per-query state competes for
-    the memory budget.
-    """
-    state = snapshot(cpe)
-    if not include_graph:
-        del state["vertices"]
-        del state["edges"]
-    return len(json.dumps(state, separators=(",", ":")).encode("utf-8"))
-
-
 def save_enumerator(cpe: CpeEnumerator, path: PathLike) -> None:
     """Write a snapshot to ``path`` as JSON."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -167,9 +90,6 @@ __all__ = [
     "PathLike",
     "snapshot",
     "restore",
-    "graph_snapshot",
-    "restore_graph",
-    "snapshot_size_bytes",
     "save_enumerator",
     "load_enumerator",
 ]

@@ -33,7 +33,6 @@ from typing import (
 )
 
 from repro.graph.interning import VertexInterner
-from repro.graph.npcompat import get_numpy
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -102,7 +101,7 @@ class DynamicDiGraph:
         # ``set`` so that neighbor iteration order is a deterministic
         # function of the edge-arrival sequence.  This makes enumeration
         # order reproducible across graph rebuilds — in particular a
-        # replica restored from :func:`repro.core.serialize.graph_snapshot`
+        # graph restored from :func:`repro.core.serialize.restore`
         # enumerates paths in exactly the same order as the original.
         self._out: Dict[Vertex, Dict[Vertex, None]] = {}
         self._in: Dict[Vertex, Dict[Vertex, None]] = {}
@@ -111,8 +110,8 @@ class DynamicDiGraph:
         # registration time, and the adjacency is mirrored as flat int-id
         # arrays (one growable ``array('q')`` per vertex id, same neighbor
         # order as the dict plane).  The array plane is what the
-        # hop-capped BFS and the bulk snapshot read; the dict plane stays
-        # the compatibility view for arbitrary-hashable callers.
+        # hop-capped BFS reads; the dict plane stays the compatibility
+        # view for arbitrary-hashable callers.
         self._interner = VertexInterner()
         self._out_ids: List[array[int]] = []
         self._in_ids: List[array[int]] = []
@@ -312,70 +311,6 @@ class DynamicDiGraph:
         """
         return (self._in_ids if reverse else self._out_ids), self._interner
 
-    def packed_adjacency(
-        self, reverse: bool = False
-    ) -> Tuple[List[Vertex], List[int], List[int]]:
-        """A CSR copy of the adjacency: ``(vertices, indptr, indices)``.
-
-        ``vertices`` lists the registered vertices in insertion order;
-        ``indices[indptr[p]:indptr[p + 1]]`` are the neighbor
-        *positions* (indexes into ``vertices``) of the vertex at
-        position ``p``, in neighbor insertion order.  Positions — not
-        interned ids — make the payload self-contained: it can be
-        serialized and rebuilt in a process with a different id history
-        (see :func:`repro.core.serialize.graph_snapshot`).  With numpy
-        available the flattening/translation is a bulk array copy.
-        """
-        verts = list(self._out)
-        n = len(verts)
-        id_arrays = self._in_ids if reverse else self._out_ids
-        interner = self._interner
-        ids_in_order = [interner.id_of(v) for v in verts]
-        aligned = ids_in_order == list(range(n))
-        np = get_numpy()
-        if np is not None and n:
-            degrees = np.fromiter(
-                (len(id_arrays[i]) for i in ids_in_order),
-                dtype=np.int64,
-                count=n,
-            )
-            indptr_arr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr_arr[1:])
-            chunks = [
-                np.frombuffer(id_arrays[i], dtype=np.int64)
-                for i in ids_in_order
-                if len(id_arrays[i])
-            ]
-            if chunks:
-                flat_ids = np.concatenate(chunks)
-            else:
-                flat_ids = np.zeros(0, dtype=np.int64)
-            if aligned:
-                flat = flat_ids
-            else:
-                pos_of = np.zeros(len(interner), dtype=np.int64)
-                pos_of[np.asarray(ids_in_order, dtype=np.int64)] = np.arange(
-                    n, dtype=np.int64
-                )
-                flat = pos_of[flat_ids]
-            return verts, indptr_arr.tolist(), flat.tolist()
-        indptr: List[int] = [0]
-        indices: List[int] = []
-        if aligned:
-            for iid in ids_in_order:
-                indices.extend(id_arrays[iid])
-                indptr.append(len(indices))
-        else:
-            position = {iid: p for p, iid in enumerate(ids_in_order)}
-            for iid in ids_in_order:
-                for wid in id_arrays[iid]:
-                    indices.append(position[wid])
-                indptr.append(len(indices))
-        return verts, indptr, indices
-
-    # ------------------------------------------------------------------
-    # Dunder / diagnostics
-    # ------------------------------------------------------------------
     def __contains__(self, v: Vertex) -> bool:
         return v in self._out
 

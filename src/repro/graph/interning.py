@@ -10,8 +10,8 @@ hashable vertices and that dense id space:
   change or get reused for a different vertex** — an id is a stable
   array index for the lifetime of the interner;
 - insertion order is the only order: two interners fed the same vertex
-  sequence assign identical ids, which is what keeps the byte-identity
-  equivalence gates (parallel shards, batching) valid across replicas.
+  sequence assign identical ids, which is what keeps answers
+  byte-identical across graph rebuilds and snapshot restores.
 
 The graph layer owns one interner per :class:`~repro.graph.digraph.DynamicDiGraph`
 and per :class:`~repro.graph.frozen.FrozenDiGraph` snapshot (every

@@ -22,7 +22,7 @@ The facade is intentionally tiny: counters (:func:`incr`), gauges
 :func:`render_prometheus` for a Prometheus scrape/dump).  The metric
 name catalog and naming convention live in docs/OBSERVABILITY.md.
 
-Six sibling namespaces ride along, each with the same off-by-default
+Five sibling namespaces ride along, each with the same off-by-default
 cost contract:
 
 - :mod:`repro.obs.events` — the structured event log (bounded ring of
@@ -30,8 +30,6 @@ cost contract:
 - :mod:`repro.obs.explain` — per-query EXPLAIN/ANALYZE recording
   (dynamic-cut decisions, prune counters, join cardinalities);
 - :mod:`repro.obs.trace` — Chrome trace-event export built on spans;
-- :mod:`repro.obs.distributed` — cross-process trace contexts and the
-  multi-process merged Chrome trace;
 - :mod:`repro.obs.timeseries` — the bounded metrics time-series ring
   behind the ``history`` wire op and ``repro top`` sparklines;
 - :mod:`repro.obs.flight` — the always-on flight recorder and the
@@ -50,8 +48,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_histogram_states,
-    merge_states,
     prometheus_name,
 )
 from repro.obs.report import render_profile, stage_rows
@@ -65,8 +61,7 @@ from repro.obs.spans import (
     trace_sink,
 )
 from repro.obs.trace import TraceBuffer, tracing, validate_chrome_trace
-from repro.obs import distributed, flight, timeseries
-from repro.obs.distributed import TraceContext, merge_chrome_trace
+from repro.obs import flight, timeseries
 from repro.obs.flight import FlightRecorder, validate_flight_bundle
 from repro.obs.timeseries import TimeSeriesRing
 
@@ -176,8 +171,6 @@ __all__ = [
     "Span",
     "TimeSeriesRing",
     "TraceBuffer",
-    "TraceContext",
-    "distributed",
     "events",
     "explain",
     "explain_query",
@@ -191,9 +184,6 @@ __all__ = [
     "flight_sink",
     "validate_chrome_trace",
     "validate_flight_bundle",
-    "merge_chrome_trace",
-    "merge_histogram_states",
-    "merge_states",
     "prometheus_name",
     "enabled",
     "enable",

@@ -48,14 +48,6 @@ CACHE_INVALIDATE = "cache.invalidate"
 CACHE_CLEAR = "cache.clear"
 DEADLINE_EXCEEDED = "deadline.exceeded"
 REQUEST_REJECTED = "request.rejected"
-SHARD_STARTED = "shard.started"
-SHARD_STOPPED = "shard.stopped"
-SHARD_WATCH = "shard.watch"
-SHARD_FANOUT = "shard.fanout"
-BATCH_FORMED = "batch.formed"
-BATCH_EXECUTED = "batch.executed"
-BATCH_MEMBER_EXPIRED = "batch.member_expired"
-PLAN_CHOSEN = "plan.chosen"
 FLIGHT_DUMPED = "flight.dumped"
 
 #: Every kind the service layer emits (the schema table's source of truth).
@@ -71,14 +63,6 @@ EVENT_KINDS = (
     CACHE_CLEAR,
     DEADLINE_EXCEEDED,
     REQUEST_REJECTED,
-    SHARD_STARTED,
-    SHARD_STOPPED,
-    SHARD_WATCH,
-    SHARD_FANOUT,
-    BATCH_FORMED,
-    BATCH_EXECUTED,
-    BATCH_MEMBER_EXPIRED,
-    PLAN_CHOSEN,
     FLIGHT_DUMPED,
 )
 
@@ -272,14 +256,6 @@ __all__ = [
     "CACHE_CLEAR",
     "DEADLINE_EXCEEDED",
     "REQUEST_REJECTED",
-    "SHARD_STARTED",
-    "SHARD_STOPPED",
-    "SHARD_WATCH",
-    "SHARD_FANOUT",
-    "BATCH_FORMED",
-    "BATCH_EXECUTED",
-    "BATCH_MEMBER_EXPIRED",
-    "PLAN_CHOSEN",
     "FLIGHT_DUMPED",
     "Event",
     "EventLog",

@@ -40,7 +40,6 @@ from repro.obs.trace import TraceBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core import
     from repro.graph.digraph import DynamicDiGraph, Vertex
-    from repro.planner import QueryPlanner
 
 
 @dataclass(frozen=True)
@@ -306,9 +305,6 @@ class ExplainReport:
     estimates: List[Dict[str, Any]] = field(default_factory=list)
     construction_seconds: float = 0.0
     enumeration_seconds: float = 0.0
-    #: Planner preview (chosen plan, per-plan costs, estimated vs.
-    #: actual cardinalities); ``None`` when no planner was supplied.
-    planner: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON shape (`repro explain --format json`, wire op)."""
@@ -326,8 +322,6 @@ class ExplainReport:
             },
             "estimates": list(self.estimates),
         }
-        if self.planner is not None:
-            out["planner"] = dict(self.planner)
         out.update(self.record.as_dict())
         return out
 
@@ -393,28 +387,6 @@ class ExplainReport:
                 "invariant emit-total == path-total: "
                 + ("ok" if ok else "VIOLATED")
             )
-        if self.planner is not None:
-            plan = self.planner
-            lines.append(
-                f"planner (mode {plan.get('mode', '?')}): "
-                f"chosen {plan.get('chosen', '?')}   "
-                f"est paths {plan.get('est_paths', 0.0):g}   "
-                f"walk bound {plan.get('walk_count_bound', '?')}"
-                + (
-                    f"   actual {plan['actual_paths']}"
-                    f"   est error {plan.get('estimate_error', 0.0):.2f}"
-                    if "actual_paths" in plan
-                    else ""
-                )
-            )
-            rows = plan.get("plans", [])
-            if rows:
-                lines.append("  plan     cost  feasible")
-                for row in rows:
-                    lines.append(
-                        f"  {row['plan']:<7s} {row['cost']:>6g}  "
-                        f"{'yes' if row['feasible'] else 'no'}"
-                    )
         lines.append(
             f"timings: construction {self.construction_seconds * 1e3:.3f} ms"
             + (
@@ -447,7 +419,6 @@ def explain_query(
     t: "Vertex",
     k: int,
     analyze: bool = False,
-    planner: "Optional[QueryPlanner]" = None,
 ) -> ExplainReport:
     """EXPLAIN (estimate) or ANALYZE (run and measure) one query.
 
@@ -455,13 +426,6 @@ def explain_query(
     the cheap part by design); with ``analyze=True`` additionally runs
     the full join enumeration so the report carries actual per-pair
     probe/emit cardinalities and the invariant check.
-
-    With a ``planner``, the report additionally carries the planner's
-    preview for this query — the chosen plan, every candidate's cost,
-    the degree-profile and walk-count-DP cardinality estimates, and
-    (under ANALYZE) the actual path count with the estimate's relative
-    error.  The preview is read-only: the planner's repeat history,
-    counters and metrics are not touched.
     """
     # Imported lazily: repro.core imports this module for the hooks.
     from repro.core.construction import build_index
@@ -495,20 +459,6 @@ def explain_query(
                 total = count_full(index)
             enumeration_seconds = time.perf_counter() - started
             rec.record_total(total)
-    planner_section: Optional[Dict[str, Any]] = None
-    if planner is not None:
-        from repro.core.estimate import walk_count_bound
-
-        decision = planner.preview(s, t, k)
-        planner_section = decision.as_dict()
-        planner_section["walk_count_bound"] = walk_count_bound(graph, s, t, k)
-        if rec.total_paths is not None:
-            planner_section["actual_paths"] = rec.total_paths
-            planner_section["estimate_error"] = round(
-                abs(decision.est_paths - rec.total_paths)
-                / max(rec.total_paths, 1),
-                4,
-            )
     return ExplainReport(
         s=s,
         t=t,
@@ -520,7 +470,6 @@ def explain_query(
         estimates=estimates,
         construction_seconds=construction_seconds,
         enumeration_seconds=enumeration_seconds,
-        planner=planner_section,
     )
 
 

@@ -14,7 +14,7 @@ Bundles use the ``repro-flight/1`` schema::
 
     {
       "schema": "repro-flight/1",
-      "reason": "shard-crash" | "deadline-burst" | "sigusr2" | ...,
+      "reason": "deadline-burst" | "sigusr2" | "manual" | ...,
       "generated_at": <unix seconds>,
       "processes": [
         {"pid": ..., "role": "coordinator" | "shard", "shard": int | null,
@@ -26,12 +26,12 @@ Bundles use the ``repro-flight/1`` schema::
       ]
     }
 
-A single-process dump is a bundle with one process record; under
-``repro serve --workers N`` the coordinator gathers each shard's
-record over the worker pipes (``FlightCmd``) and emits one bundle.
-Triggers — shard crash, deadline-miss burst, ``SIGUSR2``, the
-``flight`` wire op, ``repro flight-dump`` — live in the service and
-CLI layers; this module only records and serializes.
+A server's dump is a bundle with one ``coordinator`` process record;
+the schema also admits ``shard`` records, so bundles written by
+earlier multi-process servers still validate.  Triggers —
+deadline-miss burst, ``SIGUSR2``, the ``flight`` wire op,
+``repro flight-dump`` — live in the service and CLI layers; this
+module only records and serializes.
 
 :class:`BurstDetector` is the shared helper for "K misses within H
 seconds" trigger conditions.

@@ -13,13 +13,9 @@ own lock).  The cost model is deliberate:
   quantiles are computed on demand, so memory stays constant no matter
   how long a server runs.
 
-Every metric also has a plain-data **state** form (`state()` /
-``from_state``) so a shard process can ship its registry across a pipe
-and the coordinator can fold many shards into one fleet-wide view:
-:func:`merge_histogram_states` and :func:`merge_states` are
-deterministic and order-independent — counters add, gauges sum,
-histogram aggregates combine additively/extremally and reservoirs merge
-as a sorted multiset union — with the empty state as the identity.
+Every metric also has a plain-data **state** form (``state()``): the
+full registry contents, histogram reservoirs included, that flight
+bundles record.
 
 Instrumented code should not talk to these classes directly — the
 module-level facade in :mod:`repro.obs` adds the global enabled/disabled
@@ -62,7 +58,7 @@ class Counter:
         return self._value
 
     def state(self) -> int:
-        """The counter's mergeable plain-data form (its count)."""
+        """The counter's plain-data form (its count)."""
         return self._value
 
 
@@ -96,12 +92,7 @@ class Gauge:
         return self._value
 
     def state(self) -> float:
-        """The gauge's mergeable plain-data form (its level).
-
-        Gauge states **sum** under :func:`merge_states`: a fleet view of
-        ``parallel.pairs`` is the total across processes, not any one
-        process's reading.
-        """
+        """The gauge's plain-data form (its level)."""
         return self._value
 
 
@@ -216,7 +207,7 @@ class Histogram:
 
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, Any]:
-        """The histogram's mergeable plain-data form.
+        """The histogram's plain-data form.
 
         ``samples`` is the retained reservoir as a **sorted** list, so
         the reservoir part of the state is independent of arrival
@@ -237,91 +228,6 @@ class Histogram:
             "max": maximum,
             "samples": samples,
         }
-
-    @classmethod
-    def from_state(cls, name: str, state: Dict[str, Any]) -> "Histogram":
-        """Rebuild a histogram from a (possibly merged) state.
-
-        The reservoir bound grows to hold every sample in the state, so
-        restoring a merged fleet state never silently drops samples and
-        quantiles stay exact over the merged multiset.
-        """
-        samples = sorted(float(v) for v in state.get("samples", []))
-        histogram = cls(
-            name, reservoir=max(DEFAULT_RESERVOIR, len(samples), 1)
-        )
-        histogram._count = int(state.get("count", 0))
-        histogram._total = float(state.get("total", 0.0))
-        if histogram._count:
-            histogram._min = float(state["min"])
-            histogram._max = float(state["max"])
-        histogram._recent = samples
-        return histogram
-
-
-def merge_histogram_states(*states: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold histogram states into one: the fleet-wide distribution.
-
-    Counts and totals add, extremes combine, and the sample reservoirs
-    merge as a sorted multiset union.  Totals sum via :func:`math.fsum`
-    (the correctly-rounded true sum, permutation-invariant), so the
-    operation is associative, commutative, and has the empty state
-    (zero observations) as its identity — merging per-shard states in
-    any grouping or order yields byte-identical results.
-    """
-    count = 0
-    totals: List[float] = []
-    minimum = math.inf
-    maximum = -math.inf
-    samples: List[float] = []
-    for state in states:
-        part = int(state.get("count", 0))
-        if part:
-            count += part
-            totals.append(float(state.get("total", 0.0)))
-            minimum = min(minimum, float(state["min"]))
-            maximum = max(maximum, float(state["max"]))
-        samples.extend(float(v) for v in state.get("samples", []))
-    samples.sort()
-    return {
-        "count": count,
-        "total": math.fsum(totals),
-        "min": minimum if count else 0.0,
-        "max": maximum if count else 0.0,
-        "samples": samples,
-    }
-
-
-def merge_states(*states: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold registry states into one fleet-wide registry state.
-
-    Counters add, gauges sum (a fleet gauge reads as the total across
-    processes; :func:`math.fsum`, so shard order cannot perturb the
-    result), histograms merge via :func:`merge_histogram_states`.
-    Metric maps in the result are name-sorted, so equal inputs in any
-    order produce byte-identical merged states; the empty state
-    (``MetricsRegistry().state()``) is the identity.
-    """
-    counters: Dict[str, int] = {}
-    gauge_parts: Dict[str, List[float]] = {}
-    histogram_parts: Dict[str, List[Dict[str, Any]]] = {}
-    for state in states:
-        for name, value in state.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + int(value)
-        for name, level in state.get("gauges", {}).items():
-            gauge_parts.setdefault(name, []).append(float(level))
-        for name, part in state.get("histograms", {}).items():
-            histogram_parts.setdefault(name, []).append(part)
-    return {
-        "counters": {name: counters[name] for name in sorted(counters)},
-        "gauges": {
-            name: math.fsum(gauge_parts[name]) for name in sorted(gauge_parts)
-        },
-        "histograms": {
-            name: merge_histogram_states(*histogram_parts[name])
-            for name in sorted(histogram_parts)
-        },
-    }
 
 
 class MetricsRegistry:
@@ -411,13 +317,12 @@ class MetricsRegistry:
         }
 
     def state(self) -> Dict[str, Any]:
-        """The registry's mergeable plain-data form.
+        """The registry's plain-data form.
 
         Same ``{counters, gauges, histograms}`` shape as
         :meth:`snapshot`, but histograms carry their full
         :meth:`Histogram.state` (including the sample reservoir) instead
-        of a summary — the input of :func:`merge_states` and
-        :meth:`from_state`.  Maps are name-sorted.
+        of a summary.  Maps are name-sorted.
         """
         counters: Dict[str, int] = {}
         gauges: Dict[str, float] = {}
@@ -434,25 +339,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "MetricsRegistry":
-        """A registry rebuilt from a (possibly merged) state.
-
-        The result snapshots and renders exactly like a live registry
-        that saw the merged traffic: restoring the same merged state
-        always yields byte-identical ``render_prometheus()`` output.
-        """
-        registry = cls()
-        for name in sorted(state.get("counters", {})):
-            registry.counter(name).inc(int(state["counters"][name]))
-        for name in sorted(state.get("gauges", {})):
-            registry.gauge(name).set(float(state["gauges"][name]))
-        for name in sorted(state.get("histograms", {})):
-            registry._metrics[name] = Histogram.from_state(
-                name, state["histograms"][name]
-            )
-        return registry
 
     def render_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format.
@@ -523,7 +409,5 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "escape_label_value",
-    "merge_histogram_states",
-    "merge_states",
     "prometheus_name",
 ]

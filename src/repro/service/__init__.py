@@ -11,16 +11,13 @@ request/response layer over the building blocks in :mod:`repro.core`:
   deadlines;
 - :mod:`repro.service.engine` — the serving core
   (:class:`PathQueryEngine`): monitor-backed watches, cache-backed
-  ad-hoc queries, batched update ingestion, and shared-construction
-  batch queries via :mod:`repro.batching`;
+  ad-hoc and batch queries, and batched update ingestion;
 - :mod:`repro.service.cache` — the warm-index LRU
-  (:class:`IndexCache`) under a serialized-size memory budget;
+  (:class:`IndexCache`) under an estimated-size memory budget;
 - :mod:`repro.service.admission` — bounded queueing, deadlines and
   graceful drain (:class:`AdmissionController`);
 - :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  asyncio TCP server and a small blocking client; ``repro serve
-  --batch-window MS`` turns on queue-side batch formation, gathering
-  concurrent ``query`` requests into shared-construction batches.
+  asyncio TCP server and a small blocking client.
 
 CLI entry points: ``repro serve`` and ``repro bench-serve``.
 """

@@ -140,7 +140,11 @@ class AdmissionController:
             obs.set_gauge("service.admission.queue_depth", self._pending)
             queued_at = time.monotonic()
         try:
-            await self._acquire(deadline)
+            if not await self._acquire(deadline):
+                self._expired += 1
+                obs.incr("service.admission.expired")
+                events.emit(events.DEADLINE_EXCEEDED, where="queued")
+                raise DeadlineExceededError("deadline elapsed while queued")
             try:
                 self._admitted += 1
                 if observing:
@@ -159,20 +163,17 @@ class AdmissionController:
             if self._pending == 0:
                 self._idle.set()
 
-    async def _acquire(self, deadline: Optional[float]) -> None:
+    async def _acquire(self, deadline: Optional[float]) -> bool:
+        """Take the execution lock; False if ``deadline`` passed first."""
         if deadline is None:
             await self._lock.acquire()
-            return
+            return True
         remaining = deadline - time.monotonic()
         try:
             await asyncio.wait_for(self._lock.acquire(), timeout=remaining)
         except asyncio.TimeoutError:
-            self._expired += 1
-            obs.incr("service.admission.expired")
-            events.emit(events.DEADLINE_EXCEEDED, where="queued")
-            raise DeadlineExceededError(
-                "deadline elapsed while queued"
-            ) from None
+            return False
+        return True
 
     # ------------------------------------------------------------------
     def begin_shutdown(self) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.obs import events
@@ -45,6 +45,17 @@ CacheKey = Tuple[Vertex, Vertex, int]
 #: each, about 2 x |V| bytes per entry (≈18 KB for WG at scale 1.0,
 #: against ≈55-60 KB charged for a top-1% pair's index at k=7).
 ENTRY_BASE_BYTES = 256
+
+
+def check_query(s: Vertex, t: Vertex, k: int) -> None:
+    """Raise :class:`ValueError` unless ``(s, t, k)`` can be served:
+    ``s != t`` and ``0 <= k <=`` :data:`~repro.core.distance.MAX_HORIZON`."""
+    if s == t:
+        raise ValueError("s and t must differ")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if k > MAX_HORIZON:
+        raise ValueError(f"k must be at most {MAX_HORIZON}")
 
 
 def estimated_entry_bytes(entry: CpeEnumerator) -> int:
@@ -67,8 +78,8 @@ class CacheLookup(NamedTuple):
     ``outcome`` is authoritative — ``"hit"`` (served warm), ``"miss"``
     (built and cached) or ``"bypass"`` (built, too big to retain).
     Callers must not re-derive it by probing cache state afterwards: a
-    ``build=`` hook or an eviction can change what ``key in cache``
-    reports between the decision and the probe.
+    bypassed build leaves ``key in cache`` False, and an eviction can
+    change what it reports between the decision and the probe.
     """
 
     enumerator: CpeEnumerator
@@ -150,13 +161,7 @@ class IndexCache:
         return self._entries.get(key)
 
     # ------------------------------------------------------------------
-    def get_or_build(
-        self,
-        s: Vertex,
-        t: Vertex,
-        k: int,
-        build: Optional[Callable[[], CpeEnumerator]] = None,
-    ) -> CacheLookup:
+    def get_or_build(self, s: Vertex, t: Vertex, k: int) -> CacheLookup:
         """The warm enumerator for ``(s, t, k)``, building it on a miss.
 
         A hit refreshes recency; a miss constructs the index
@@ -168,23 +173,10 @@ class IndexCache:
         returned :class:`CacheLookup` carries the outcome this call
         took (``hit`` / ``miss`` / ``bypass``) explicitly, so callers
         never have to infer it from post-call cache state.  An invalid
-        query (``s == t`` or ``k < 0``) raises :class:`ValueError`
-        before any counter, metric or event moves, and so does a ``k``
-        above :data:`~repro.core.distance.MAX_HORIZON`.
-
-        ``build`` substitutes the miss-path construction — the hook
-        :mod:`repro.batching` uses to inject shared distance maps.  It
-        must return an enumerator for exactly ``(s, t, k)`` over this
-        cache's graph; hit/miss/bypass accounting, sizing and eviction
-        are identical either way, which is what keeps batched and
-        sequential execution byte-for-byte equivalent.
+        query (see :func:`check_query`) raises :class:`ValueError`
+        before any counter, metric or event moves.
         """
-        if s == t:
-            raise ValueError("s and t must differ")
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if k > MAX_HORIZON:
-            raise ValueError(f"k must be at most {MAX_HORIZON}")
+        check_query(s, t, k)
         key = (s, t, k)
         entry = self._entries.get(key)
         if entry is not None:
@@ -199,7 +191,7 @@ class IndexCache:
         events.emit(events.CACHE_MISS, s=s, t=t, k=k)
         self._note_lookup()
         with obs.span("service.cache.build"):
-            entry = self._build(s, t, k) if build is None else build()
+            entry = self._build(s, t, k)
         size = estimated_entry_bytes(entry)
         if size > self.budget_bytes:
             self._bypasses += 1
@@ -332,5 +324,6 @@ __all__ = [
     "CacheStats",
     "ENTRY_BASE_BYTES",
     "IndexCache",
+    "check_query",
     "estimated_entry_bytes",
 ]

@@ -118,11 +118,11 @@ class ServiceClient:
         queries: Iterable,
         deadline_ms: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Many ``(s, t, k)`` queries in one request, batch-executed.
+        """Many ``(s, t, k)`` queries in one request.
 
         Returns the raw result with each member's ``paths`` decoded to
         tuples: ``results`` holds one ``query``-shaped object per triple
-        (same order), ``batch`` the grouping statistics and plan.
+        (same order).
         """
         triples = [[s, t, k] for s, t, k in queries]
         result = self.call(
@@ -209,24 +209,15 @@ class ServiceClient:
     def metrics(
         self,
         format: str = "json",
-        per_shard: bool = False,
         deadline_ms: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """The server's fleet-wide :mod:`repro.obs` metrics snapshot.
+        """The server's :mod:`repro.obs` metrics snapshot.
 
         ``format="json"`` returns the structured snapshot under
         ``"metrics"``; ``format="prometheus"`` returns the text
-        exposition dump under ``"text"``.  Under ``--workers N`` the
-        snapshot is the order-independent merge of every shard's
-        registry with the coordinator's; ``per_shard=True`` adds each
-        shard's own snapshot under ``"shards"``.
+        exposition dump under ``"text"``.
         """
-        return self.call(
-            "metrics",
-            deadline_ms=deadline_ms,
-            format=format,
-            per_shard=per_shard,
-        )
+        return self.call("metrics", deadline_ms=deadline_ms, format=format)
 
     def explain(
         self,
@@ -257,12 +248,10 @@ class ServiceClient:
     def trace(
         self, clear: bool = True, deadline_ms: Optional[float] = None
     ) -> Dict[str, Any]:
-        """The merged multi-process Chrome trace accumulated server-side.
+        """The Chrome trace of the spans captured server-side.
 
-        Returns ``enabled``, the ``trace`` object (coordinator plus one
-        labelled row per shard, on one clock), the contributing
-        ``trace_ids``, and the ``processes`` count; ``clear`` (default)
-        drains the server-side captures.
+        Returns ``enabled`` and the ``trace`` object; ``clear``
+        (default) drains the server-side capture.
         """
         return self.call("trace", deadline_ms=deadline_ms, clear=clear)
 
@@ -279,9 +268,8 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """An on-demand ``repro-flight/1`` bundle under ``"bundle"``.
 
-        The fleet-wide flight-recorder dump: the last seconds of spans,
-        events, metrics and time-series from the coordinator and every
-        live shard.
+        The flight-recorder dump: the server's last seconds of spans,
+        events, metrics and time-series.
         """
         fields: Dict[str, Any] = {}
         if reason is not None:

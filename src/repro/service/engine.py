@@ -3,15 +3,14 @@
 :class:`PathQueryEngine` owns a single :class:`DynamicDiGraph` and
 serves the protocol operations over it:
 
-- **watched pairs** are long-lived registrations routed through a
-  :class:`~repro.core.monitor.MultiPairMonitor`-style registry: every
-  update repairs each watched index and reports exactly its new/deleted
-  paths (the paper's continuous-monitoring deployment);
+- **watched pairs** are long-lived registrations in a
+  :class:`~repro.core.monitor.MultiPairMonitor`: every update repairs
+  each watched index and reports exactly its new/deleted paths (the
+  paper's continuous-monitoring deployment);
 - **ad-hoc queries** run through :class:`CpeEnumerator`, kept warm in an
   LRU :class:`~repro.service.cache.IndexCache` so repeated queries skip
-  the ``CPE_startup`` construction; ``batch_query`` routes many triples
-  through :class:`~repro.batching.shared.SharedConstructionEngine` so
-  overlapping members share the construction itself;
+  the ``CPE_startup`` construction; ``batch_query`` answers each member
+  through that same query path, in order;
 - **updates** mutate the graph exactly once and are observed by every
   live index (watched and cached); ``batch_update`` first coalesces the
   batch through :func:`~repro.core.batch.compress_stream` so churny
@@ -30,7 +29,6 @@ requests — the server layer only ever encodes.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import (
     Any,
@@ -41,32 +39,19 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro import obs
 from repro.obs import events, flight, timeseries
-from repro.obs.distributed import (
-    ProcessTrace,
-    TraceContext,
-    bind_context,
-    current_context,
-    merge_chrome_trace,
-)
 from repro.obs.explain import explain_query
-from repro.obs.metrics import MetricsRegistry, merge_states
 from repro.obs.spans import TraceSink
 from repro.obs.timeseries import TimeSeriesRing
 from repro.obs.trace import TraceBuffer
-from repro.batching.shared import SharedConstructionEngine
 from repro.core.batch import compress_stream
 from repro.core.monitor import MultiPairMonitor, PairKey
 from repro.core.paths import Path
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate, Vertex
-from repro.parallel import ShardedMonitor
-from repro.parallel.pool import WorkerCrashedError
-from repro.planner import PLAN_DIRECT, QueryPlanner
-from repro.service.cache import IndexCache
+from repro.service.cache import IndexCache, check_query
 from repro.service.protocol import (
     AlreadyWatchedError,
     BadRequestError,
@@ -90,32 +75,16 @@ class PathQueryEngine:
     cache_budget_bytes:
         Memory budget of the warm-index cache (see
         :class:`~repro.service.cache.IndexCache`).
-    workers:
-        With ``workers > 1`` watched-pair traffic is sharded across
-        that many worker processes via
-        :class:`~repro.parallel.sharded.ShardedMonitor`; ad-hoc queries
-        keep the in-process cache path either way.  Call :meth:`close`
-        when done to stop the shard processes.
     tracing:
-        Install a span-capture buffer here and in every shard, and bind
-        a :class:`~repro.obs.distributed.TraceContext` root around each
-        request so shard-side spans stitch into one coordinator-rooted
-        trace, retrievable merged via the ``trace`` op.
+        Install a span-capture buffer, retrievable as a Chrome trace via
+        the ``trace`` op.
     flight_window:
-        When > 0, run the always-on flight recorder (here and in every
-        shard) holding the last this-many seconds of spans — the raw
-        material of ``flight`` dumps.
+        When > 0, run the always-on flight recorder holding the last
+        this-many seconds of spans — the raw material of ``flight``
+        dumps.
     timeseries_interval:
         When > 0, install the bounded metrics time-series ring sampling
         on this tick (seconds); served by the ``history`` op.
-    planner:
-        Ad-hoc query planning mode (see
-        :class:`~repro.planner.QueryPlanner`): ``"index"`` (default)
-        keeps the legacy always-through-the-cache path byte-identical
-        to previous releases, ``"auto"`` lets the cost model pick per
-        query, ``"direct"`` forces the one-shot index-free join.
-        Answers are byte-identical across modes; only latency and the
-        reply's ``source`` label differ.
     """
 
     def __init__(
@@ -123,24 +92,18 @@ class PathQueryEngine:
         graph: DynamicDiGraph,
         default_k: int = 6,
         cache_budget_bytes: int = 4 << 20,
-        workers: int = 1,
         tracing: bool = False,
         flight_window: float = 0.0,
         timeseries_interval: float = 0.0,
-        planner: str = "index",
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         self.graph = graph
         self.default_k = default_k
-        self.workers = workers
-        self._tracing = tracing
         self._capture: Optional[TraceBuffer] = None
         self._previous_sink: Optional[TraceSink] = None
         self._flight_enabled_here = False
-        #: Sink for spontaneous flight dumps (shard crash, deadline
-        #: burst, SIGUSR2): called with ``(reason, bundle)``.  The CLI
-        #: installs a file writer here; ``None`` = dumps are dropped.
+        #: Sink for spontaneous flight dumps (deadline burst, SIGUSR2):
+        #: called with ``(reason, bundle)``.  The CLI installs a file
+        #: writer here; ``None`` = dumps are dropped.
         self.on_flight_dump: Optional[
             Callable[[str, Dict[str, Any]], None]
         ] = None
@@ -156,23 +119,8 @@ class PathQueryEngine:
                 TimeSeriesRing(obs.registry(), interval=timeseries_interval)
             )
             self._ring_installed_here = True
-        self.monitor: Union[MultiPairMonitor, ShardedMonitor]
-        if workers > 1:
-            self.monitor = ShardedMonitor(
-                graph,
-                default_k,
-                workers=workers,
-                tracing=tracing,
-                flight_window=flight_window,
-                timeseries_interval=timeseries_interval,
-            )
-        else:
-            self.monitor = MultiPairMonitor(graph, default_k)
+        self.monitor = MultiPairMonitor(graph, default_k)
         self.cache = IndexCache(graph, budget_bytes=cache_budget_bytes)
-        self.planner = QueryPlanner(graph, self.cache, mode=planner)
-        self.batcher = SharedConstructionEngine(
-            graph, self.cache, monitor=self.monitor
-        )
         self._served: Dict[str, int] = {}
         self._updates_applied = 0
         self._updates_cancelled = 0
@@ -192,22 +140,7 @@ class PathQueryEngine:
             events.emit(events.QUERY_STARTED, op=op)
             started = time.perf_counter()
         try:
-            try:
-                if self._tracing:
-                    context = current_context()
-                    if context is None:
-                        context = TraceContext.new_root(
-                            corr_id=events.correlation_id()
-                        )
-                    with bind_context(context):
-                        result = self._invoke(op, handler, args)
-                else:
-                    result = self._invoke(op, handler, args)
-            except WorkerCrashedError:
-                # Freeze the last seconds before the crash propagates —
-                # this is exactly the moment the recorder exists for.
-                self._dump_on_crash()
-                raise
+            result = self._invoke(op, handler, args)
         except Exception as exc:
             if eventing:
                 events.emit(
@@ -256,58 +189,34 @@ class PathQueryEngine:
     ) -> Tuple[List[Path], str]:
         if self.monitor.watched_k(s, t) == k:
             return self.monitor.results_for(s, t), "watched"
-        if self.planner.mode == "index":
-            # Legacy path: every ad-hoc query goes through the cache.
-            try:
-                lookup = self.cache.get_or_build(s, t, k)
-            except ValueError as exc:  # s == t, k < 0
-                raise BadRequestError(str(exc)) from exc
-            return lookup.enumerator.startup(), lookup.outcome
         try:
-            decision = self.planner.decide(s, t, k)
-            if decision.chosen == PLAN_DIRECT:
-                paths = self.planner.run_direct(s, t, k)
-                source = "direct"
-            else:
-                lookup = self.cache.get_or_build(s, t, k)
-                paths = lookup.enumerator.startup()
-                source = lookup.outcome
-        except ValueError as exc:  # s == t, k < 0
+            lookup = self.cache.get_or_build(s, t, k)
+        except ValueError as exc:  # s == t, k out of range
             raise BadRequestError(str(exc)) from exc
-        self.planner.note_actual(decision, len(paths))
-        return paths, source
+        return lookup.enumerator.startup(), lookup.outcome
 
     def op_batch_query(
         self, queries: Sequence[Sequence[Any]]
     ) -> Dict[str, Any]:
-        """Answer many ``(s, t, k)`` queries from one construction pass.
+        """Answer many ``(s, t, k)`` queries, in order, as ``query`` would.
 
-        Members sharing an endpoint hub reuse one BFS; duplicates reuse
-        one enumeration (see :mod:`repro.batching`).  Every member is
-        still accounted as one ``query``: the ``served`` totals, the
-        cache hit/miss counters and each member's ``source`` field are
-        exactly what sequential execution of the same triples in the
-        same order would have produced.
+        Every member is checked before any runs, so one invalid member
+        fails the whole batch without building or caching anything.
+        Each member is then answered through the ``query`` path and
+        counted as one ``query`` in ``served``: its reply, its
+        ``source`` and the cache counters are exactly what the same
+        sequence of ``query`` requests would have produced.
         """
         triples = [(s, t, k) for s, t, k in queries]
+        for i, (s, t, k) in enumerate(triples):
+            try:
+                check_query(s, t, k)
+            except ValueError as exc:
+                raise BadRequestError(f"queries[{i}]: {exc}") from exc
         self._served["query"] = self._served.get("query", 0) + len(triples)
         if obs.enabled():
             obs.incr("service.requests.query", len(triples))
-        try:
-            outcome = self.batcher.run(triples)
-        except ValueError as exc:  # s == t, k < 0
-            raise BadRequestError(str(exc)) from exc
-        results = [
-            {
-                "paths": encode_paths(answer.paths),
-                "count": len(answer.paths),
-                "source": answer.source,
-            }
-            for answer in outcome.answers
-        ]
-        batch = dict(outcome.stats.as_dict())
-        batch["plan"] = outcome.plan.describe()
-        return {"results": results, "batch": batch}
+        return {"results": [self.op_query(s, t, k) for s, t, k in triples]}
 
     # ------------------------------------------------------------------
     # Watches
@@ -441,19 +350,8 @@ class PathQueryEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def op_metrics(
-        self, format: str = "json", per_shard: bool = False
-    ) -> Dict[str, Any]:
-        """Fleet-wide :mod:`repro.obs` metrics, JSON or Prometheus.
-
-        Under ``workers > 1`` every shard's mergeable registry state is
-        pulled over the worker pipes and merged with the coordinator's
-        (order-independently — see
-        :func:`repro.obs.metrics.merge_states`), so histogram counts
-        and percentiles cover the whole fleet; ``fleet`` reports how
-        many shards answered, and ``per_shard=True`` adds each shard's
-        own snapshot under ``shards``.  Single-process engines return
-        the local registry exactly as before.
+    def op_metrics(self, format: str = "json") -> Dict[str, Any]:
+        """The :mod:`repro.obs` metrics registry, JSON or Prometheus.
 
         ``format="json"`` returns the snapshot dict; ``"prometheus"``
         returns the text exposition dump — a scrape target can poll the
@@ -462,98 +360,41 @@ class PathQueryEngine:
         observability is on (``repro serve --metrics`` / ``REPRO_OBS=1``);
         the ``enabled`` field says which mode the server runs in.
         """
-        shard_states: List[Tuple[int, Dict[str, Any]]] = []
-        if isinstance(self.monitor, ShardedMonitor):
-            shard_states = self.monitor.fleet_metric_states()
-        fleet_registry: Optional[MetricsRegistry] = None
-        if shard_states:
-            fleet_registry = MetricsRegistry.from_state(merge_states(
-                obs.registry().state(),
-                *(state for _, state in shard_states),
-            ))
         if format == "prometheus":
-            text = (
-                fleet_registry.render_prometheus()
-                if fleet_registry is not None
-                else obs.render_prometheus()
-            )
             return {
                 "format": "prometheus",
                 "enabled": obs.enabled(),
-                "text": text,
+                "text": obs.render_prometheus(),
             }
         if format != "json":
             raise BadRequestError(
                 f"metrics format must be 'json' or 'prometheus', got {format!r}"
             )
-        if fleet_registry is None:
-            metrics = obs.snapshot()
-        else:
-            metrics = fleet_registry.snapshot()
-            metrics["enabled"] = obs.enabled()
-        result: Dict[str, Any] = {
+        return {
             "format": "json",
             "enabled": obs.enabled(),
-            "metrics": metrics,
+            "metrics": obs.snapshot(),
         }
-        if shard_states:
-            result["fleet"] = {
-                "workers": self.workers,
-                "shards_reporting": len(shard_states),
-            }
-        if per_shard:
-            result["shards"] = [
-                {
-                    "shard": shard,
-                    "metrics": MetricsRegistry.from_state(state).snapshot(),
-                }
-                for shard, state in shard_states
-            ]
-        return result
 
     def op_trace(self, clear: bool = True) -> Dict[str, Any]:
-        """The merged multi-process Chrome trace accumulated so far.
+        """The Chrome trace of the spans captured so far.
 
-        Collects every shard's span/instant capture (rebasing each onto
-        the coordinator's clock), folds them with the coordinator's own
-        capture into one Chrome trace object, and — with ``clear``, the
-        default — drains all captures so the next call starts fresh.
-        Requires the engine to run with ``tracing=True``.
+        With ``clear``, the default, the capture is drained so the next
+        call starts fresh.  Requires the engine to run with
+        ``tracing=True``.
         """
         if self._capture is None:
             return {
                 "enabled": False,
-                "processes": 0,
-                "trace_ids": [],
                 "trace": {"traceEvents": [], "displayTimeUnit": "ms"},
             }
-        processes = [ProcessTrace(
-            "coordinator",
-            os.getpid(),
-            self._capture.spans(),
-            self._capture.instants(),
-        )]
-        trace_ids: Set[str] = set()
-        if isinstance(self.monitor, ShardedMonitor):
-            for shard_trace in self.monitor.collect_traces(clear=clear):
-                processes.append(ProcessTrace(
-                    f"shard {shard_trace['shard']}",
-                    int(shard_trace["pid"]),
-                    shard_trace["spans"],
-                    shard_trace["instants"],
-                ))
-                trace_ids.update(shard_trace["trace_ids"])
+        trace = self._capture.to_chrome_trace()
         if clear:
             self._capture.clear()
-        return {
-            "enabled": True,
-            "processes": len(processes),
-            "trace_ids": sorted(trace_ids),
-            "trace": merge_chrome_trace(processes),
-        }
+        return {"enabled": True, "trace": trace}
 
     def op_history(self) -> Dict[str, Any]:
-        """The coordinator's metrics time-series ring snapshot."""
+        """The metrics time-series ring snapshot."""
         ring = timeseries.current()
         if ring is None:
             return {"enabled": False, "history": None}
@@ -575,36 +416,21 @@ class PathQueryEngine:
     # Flight dumps
     # ------------------------------------------------------------------
     def _flight_bundle(self, reason: str) -> Dict[str, Any]:
-        """Gather one fleet-wide flight bundle (best-effort on shards)."""
-        processes = [
-            flight.process_record(obs.registry(), role="coordinator")
-        ]
-        if isinstance(self.monitor, ShardedMonitor):
-            processes.extend(self.monitor.flight_records())
-        payload = flight.bundle(reason, processes)
-        events.emit(
-            events.FLIGHT_DUMPED, reason=reason, processes=len(processes)
-        )
+        """Gather one flight bundle of this process's record."""
+        record = flight.process_record(obs.registry())
+        payload = flight.bundle(reason, [record])
+        events.emit(events.FLIGHT_DUMPED, reason=reason, processes=1)
         return payload
 
     def dump_flight(self, reason: str) -> Dict[str, Any]:
         """Gather a bundle and hand it to :attr:`on_flight_dump`.
 
-        The spontaneous-trigger entry point (shard crash, deadline
-        burst, SIGUSR2, ``repro flight-dump``'s local mode).
+        The spontaneous-trigger entry point (deadline burst, SIGUSR2).
         """
         payload = self._flight_bundle(reason)
         if self.on_flight_dump is not None:
             self.on_flight_dump(reason, payload)
         return payload
-
-    def _dump_on_crash(self) -> None:
-        if self.on_flight_dump is None:
-            return
-        try:
-            self.dump_flight("shard-crash")
-        except Exception:  # noqa: BLE001 - forensics must not mask the crash
-            pass
 
     def op_explain(
         self, s: Vertex, t: Vertex, k: int, analyze: bool = False
@@ -613,14 +439,10 @@ class PathQueryEngine:
 
         Runs :func:`repro.obs.explain.explain_query` on a throwaway
         index — the warm cache and watched indexes are left untouched so
-        a diagnostic query never perturbs serving state.  The planner
-        section previews the plan this engine's planner would pick
-        (without touching its repeat history or counters).
+        a diagnostic query never perturbs serving state.
         """
         try:
-            report = explain_query(
-                self.graph, s, t, k, analyze=analyze, planner=self.planner
-            )
+            report = explain_query(self.graph, s, t, k, analyze=analyze)
         except ValueError as exc:  # s == t, k < 0
             raise BadRequestError(str(exc)) from exc
         return {"explain": report.to_dict()}
@@ -639,9 +461,6 @@ class PathQueryEngine:
 
     def op_stats(self) -> Dict[str, Any]:
         """Engine-side counters (the server merges admission stats in)."""
-        parallel: Dict[str, Any] = {"workers": self.workers}
-        if isinstance(self.monitor, ShardedMonitor):
-            parallel["pairs_per_shard"] = self.monitor.pairs_per_shard()
         return {
             "graph": {
                 "vertices": self.graph.num_vertices,
@@ -656,21 +475,15 @@ class PathQueryEngine:
                 "noop": self._updates_noop,
             },
             "cache": self.cache.stats().as_dict(),
-            "parallel": parallel,
-            "batching": self.batcher.stats(),
-            "planner": self.planner.stats(),
         }
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release engine resources (shard worker processes, if any)
-        and unhook whatever obs plane the constructor installed.
+        """Unhook whatever obs plane the constructor installed.
 
-        Idempotent; a single-process engine without obs options has
-        nothing to release.
+        Idempotent; an engine without obs options has nothing to
+        release.
         """
-        if isinstance(self.monitor, ShardedMonitor):
-            self.monitor.close()
         if self._capture is not None:
             obs.set_trace_sink(self._previous_sink)
             self._capture = None

@@ -91,7 +91,6 @@ def run_load(
     ops: Sequence,
     deadline_ms: Optional[float] = None,
     timeout: float = 30.0,
-    batch_size: Optional[int] = None,
 ) -> LoadReport:
     """Send ``ops`` sequentially, timing each request.
 
@@ -99,49 +98,12 @@ def run_load(
     ``("update", u, v, insert)``.  Each request carries ``deadline_ms``
     if given.  Latency is measured per request (send to response);
     structured errors are tallied by error code in the report.
-
-    With ``batch_size`` set, up to that many *consecutive* query ops are
-    sent as one ``batch_query`` request — an update flushes the open
-    chunk first, so the stream's query/update ordering is preserved.
-    The report still counts every member as one request (``requests``,
-    ``ok`` and error tallies are member-granular, comparable with the
-    sequential mode); each member records the whole batch envelope's
-    latency, since members are not answered individually.
     """
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     report = LoadReport()
     started = time.perf_counter()
     with ServiceClient(host, port, timeout=timeout) as client:
-        pending: list = []
-
-        def flush_batch() -> None:
-            if not pending:
-                return
-            chunk = list(pending)
-            pending.clear()
-            begun = time.perf_counter()
-            try:
-                client.batch_query(chunk, deadline_ms=deadline_ms)
-            except ServiceError as exc:
-                report.errors[exc.code] = (
-                    report.errors.get(exc.code, 0) + len(chunk)
-                )
-            else:
-                report.ok += len(chunk)
-                elapsed = time.perf_counter() - begun
-                report.latencies.extend([elapsed] * len(chunk))
-            report.requests += len(chunk)
-
         for op in ops:
             kind = op[0]
-            if batch_size is not None and kind == "query":
-                pending.append((op[1], op[2], op[3]))
-                if len(pending) >= batch_size:
-                    flush_batch()
-                continue
-            if kind == "update":
-                flush_batch()
             begun = time.perf_counter()
             try:
                 if kind == "query":
@@ -156,7 +118,6 @@ def run_load(
                 report.ok += 1
                 report.latencies.append(time.perf_counter() - begun)
             report.requests += 1
-        flush_batch()
     report.elapsed_seconds = time.perf_counter() - started
     return report
 

@@ -24,9 +24,7 @@ query       ``s``, ``t``, ``k``                          ``paths``, ``count``,
 batch_query ``queries`` (list of ``[s, t, k]``)          ``results`` (one
                                                          ``query``-shaped
                                                          object per member,
-                                                         in order), ``batch``
-                                                         (grouping stats +
-                                                         ``plan``)
+                                                         in order)
 watch       ``s``, ``t``, optional ``k``                 ``paths``, ``count``
 unwatch     ``s``, ``t``                                 ``removed``
 update      ``u``, ``v``, ``insert``                     ``changed``, ``pairs``
@@ -35,12 +33,9 @@ batch_update ``updates`` (list of ``[u, v, insert]``)    ``received``,
                                                          ``cancelled``,
                                                          ``pairs``
 stats       —                                            server/engine counters
-                                                         (incl. ``parallel``
-                                                         shard info)
 metrics     optional ``format``                          ``format``,
-            (``"json"``/``"prometheus"``),               ``enabled``,
-            optional ``per_shard``                       ``metrics``/``text``,
-                                                         ``fleet``, ``shards``
+            (``"json"``/``"prometheus"``)                ``enabled``,
+                                                         ``metrics``/``text``
 explain     ``s``, ``t``, ``k``, optional ``analyze``    ``explain`` (the
                                                          ``repro-explain/1``
                                                          report object)
@@ -48,10 +43,8 @@ events      optional ``limit``                           ``enabled``, ``count``,
                                                          ``total_emitted``,
                                                          ``events``
 trace       optional ``clear``                           ``enabled``,
-                                                         ``processes``,
-                                                         ``trace_ids``,
-                                                         ``trace`` (a merged
-                                                         Chrome trace object)
+                                                         ``trace`` (a Chrome
+                                                         trace object)
 history     —                                            ``enabled``,
                                                          ``history`` (the
                                                          time-series ring
@@ -65,10 +58,8 @@ flight      optional ``reason``                          ``enabled``,
 Every request may carry ``deadline_ms``, a per-request latency budget
 relative to server receipt; a request still queued when its budget runs
 out fails with ``deadline_exceeded``.  A ``batch_query``'s budget covers
-the whole batch — for per-member deadlines, send individual ``query``
-requests to a server running with a gather window (``repro serve
---batch-window``), which batches them while honouring each one's
-deadline.  Every request may also carry
+the whole batch; for per-member deadlines, send individual ``query``
+requests.  Every request may also carry
 ``corr_id`` (a string): the correlation ID stamped onto every
 :mod:`repro.obs.events` event the request causes.  When absent, the
 server mints one per request while the event log is enabled.  Vertices
@@ -366,10 +357,6 @@ def decode_request(line: Wire) -> Request:
                 f"got {fmt!r}"
             )
         args["format"] = fmt
-    if op == "metrics" and "per_shard" in payload:
-        if not isinstance(payload["per_shard"], bool):
-            raise BadRequestError("field 'per_shard' must be a boolean")
-        args["per_shard"] = payload["per_shard"]
     if op == "trace" and "clear" in payload:
         if not isinstance(payload["clear"], bool):
             raise BadRequestError("field 'clear' must be a boolean")

@@ -23,12 +23,11 @@ import asyncio
 import json
 import threading
 import time
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro import obs
 from repro.obs import events, timeseries
 from repro.obs.flight import BurstDetector
-from repro.batching.window import GatherWindow, PendingMember
 from repro.service.admission import AdmissionController
 from repro.service.engine import PathQueryEngine
 from repro.service.protocol import (
@@ -72,14 +71,6 @@ class PathQueryServer:
     max_line_bytes:
         Upper bound on one request line; longer lines fail the
         connection with a ``bad_request`` response.
-    batch_window_ms:
-        When set (> 0), ``query`` requests are gathered for up to this
-        long and executed as one ``batch_query`` through the
-        shared-construction engine (see :mod:`repro.batching`).  Each
-        client still receives its own ``query``-shaped response; a
-        member whose deadline elapses inside the window fails with
-        ``deadline_exceeded`` without holding the batch up.  Other ops
-        (including explicit ``batch_query``) are never windowed.
     """
 
     def __init__(
@@ -90,7 +81,6 @@ class PathQueryServer:
         capacity: int = 64,
         retry_after_ms: int = 50,
         max_line_bytes: int = 1 << 20,
-        batch_window_ms: Optional[float] = None,
     ) -> None:
         self.engine = engine
         self.host = host
@@ -99,17 +89,12 @@ class PathQueryServer:
             capacity=capacity, retry_after_ms=retry_after_ms
         )
         self.max_line_bytes = max_line_bytes
-        self.batch_window_ms = batch_window_ms
-        self._batch_window: Optional[GatherWindow] = None
-        if batch_window_ms is not None and batch_window_ms > 0:
-            self._batch_window = GatherWindow(
-                batch_window_ms / 1000.0, self._flush_batch
-            )
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._connections_total = 0
-        #: Deadline-miss burst trigger: enough windowed expirations in a
-        #: short horizon fire one flight dump (engine's on_flight_dump).
+        #: Deadline-miss burst trigger: enough admission deadline misses
+        #: in a short horizon fire one flight dump (engine's
+        #: on_flight_dump).
         self._burst = BurstDetector()
         self._ticker_task: Optional["asyncio.Task[None]"] = None
         self._flight_tasks: Set["asyncio.Task[None]"] = set()
@@ -144,15 +129,12 @@ class PathQueryServer:
 
         After this returns, every request admitted before the call has
         been answered; requests arriving during the drain received
-        ``shutting_down`` errors.  A gather window is flushed first, so
-        queries waiting for a batch are answered, not dropped.
+        ``shutting_down`` errors.
         """
         if self._ticker_task is not None:
             self._ticker_task.cancel()
         for task in tuple(self._flight_tasks):
             task.cancel()
-        if self._batch_window is not None:
-            await self._batch_window.close()
         self.admission.begin_shutdown()
         await self.admission.drain(timeout=drain_timeout)
         if self._server is not None:
@@ -230,12 +212,6 @@ class PathQueryServer:
         deadline = None
         if request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1000.0
-        if request.op == "query" and self._batch_window is not None:
-            # Window-formed batches run under the flush task's context;
-            # the whole batch shares one minted correlation ID there.
-            response = await self._batch_window.submit(request, deadline)
-            assert isinstance(response, Response)
-            return response
         # Correlation: bind the request's corr_id (minting one when the
         # event log is on) into the context so every event this request
         # causes — in admission, the engine worker thread (to_thread
@@ -253,6 +229,12 @@ class PathQueryServer:
                 result = await asyncio.to_thread(
                     self.engine.handle, request.op, request.args
                 )
+        except DeadlineExceededError as exc:
+            # Only admission raises this, before admission or while
+            # queued; a burst of misses fires one flight dump.
+            if self._burst.note(time.monotonic()):
+                self._schedule_flight_dump("deadline-burst")
+            return error_response(request.id, exc)
         except ServiceError as exc:
             return error_response(request.id, exc)
         except Exception as exc:  # noqa: BLE001 - protocol boundary
@@ -268,111 +250,7 @@ class PathQueryServer:
                 "open_connections": len(self._writers),
                 "connections_total": self._connections_total,
             }
-            if self._batch_window is not None:
-                window_stats = self._batch_window.stats()
-                window_stats["window_ms"] = self.batch_window_ms
-                result["server"]["batch_window"] = window_stats
         return ok_response(request.id, result)
-
-    # ------------------------------------------------------------------
-    # Gather-window batching
-    # ------------------------------------------------------------------
-    async def _flush_batch(self, batch: List[PendingMember]) -> None:
-        """Execute one gathered batch as a single ``batch_query``.
-
-        Members whose deadline elapsed are expired — both before and
-        after waiting for the admission lock — then the survivors are
-        admitted as *one* request (one admission slot, one engine entry)
-        and the engine's per-member results fan back out to each
-        submitter's future as an ordinary ``query`` response.
-        """
-        now = time.monotonic()
-        live = [m for m in batch if not self._expire_if_due(m, now)]
-        if obs.enabled():
-            for member in live:
-                obs.observe(
-                    "batch.window_wait.seconds", now - member.enqueued_at
-                )
-        if not live:
-            return
-        # One correlation ID for the whole batch: every event the shared
-        # construction causes traces back to this flush.
-        previous_corr = None
-        corr_bound = False
-        if events.enabled():
-            previous_corr = events.set_correlation_id(
-                events.new_correlation_id()
-            )
-            corr_bound = True
-        try:
-            try:
-                async with self.admission.admit(None):
-                    now = time.monotonic()
-                    live = [m for m in live if not self._expire_if_due(m, now)]
-                    if not live:
-                        return
-                    queries = [
-                        [
-                            m.payload.args["s"],
-                            m.payload.args["t"],
-                            m.payload.args["k"],
-                        ]
-                        for m in live
-                    ]
-                    result = await asyncio.to_thread(
-                        self.engine.handle,
-                        "batch_query",
-                        {"queries": queries},
-                    )
-            except ServiceError as exc:
-                self._fail_members(live, exc)
-                return
-            except Exception as exc:  # noqa: BLE001 - protocol boundary
-                self._fail_members(
-                    live, InternalError(f"{type(exc).__name__}: {exc}")
-                )
-                return
-            for member, member_result in zip(live, result["results"]):
-                if not member.future.done():
-                    member.future.set_result(
-                        ok_response(member.payload.id, member_result)
-                    )
-        finally:
-            if corr_bound:
-                events.set_correlation_id(previous_corr)
-
-    def _expire_if_due(self, member: PendingMember, now: float) -> bool:
-        """Expire one windowed member whose deadline has passed."""
-        if member.deadline is None or now < member.deadline:
-            return False
-        obs.incr("batch.members_expired")
-        events.emit(
-            events.BATCH_MEMBER_EXPIRED,
-            waited_seconds=round(now - member.enqueued_at, 6),
-        )
-        if self._burst.note(now):
-            self._schedule_flight_dump("deadline-burst")
-        if not member.future.done():
-            member.future.set_result(
-                error_response(
-                    member.payload.id,
-                    DeadlineExceededError(
-                        "deadline elapsed in the batch window"
-                    ),
-                )
-            )
-        return True
-
-    @staticmethod
-    def _fail_members(
-        members: List[PendingMember], exc: ServiceError
-    ) -> None:
-        """Resolve every unanswered member with one structured error."""
-        for member in members:
-            if not member.future.done():
-                member.future.set_result(
-                    error_response(member.payload.id, exc)
-                )
 
     # ------------------------------------------------------------------
     # Observability background work
@@ -391,9 +269,8 @@ class PathQueryServer:
 
     def _schedule_flight_dump(self, reason: str) -> None:
         """Run one engine flight dump off-band, serialized with engine
-        work via an admission slot (the worker pipes are strictly
-        one-reply-per-command, so a dump must never interleave with an
-        in-flight broadcast)."""
+        work via an admission slot, so the bundle never reads the
+        registry halfway through a request."""
         if self.engine.on_flight_dump is None:
             return
 
@@ -460,7 +337,6 @@ def serve_in_thread(
     port: int = 0,
     capacity: int = 64,
     retry_after_ms: int = 50,
-    batch_window_ms: Optional[float] = None,
 ) -> ServerHandle:
     """Start a :class:`PathQueryServer` on a daemon thread.
 
@@ -479,7 +355,6 @@ def serve_in_thread(
             port=port,
             capacity=capacity,
             retry_after_ms=retry_after_ms,
-            batch_window_ms=batch_window_ms,
         )
         stop_event = asyncio.Event()
         try:

@@ -320,10 +320,6 @@ def test_cli_no_unused_noqa(tmp_path, capsys):
 
 
 def test_shipped_baseline_is_valid_and_minimal():
-    baseline = load_baseline(ROOT / "analysis-baseline.json")
-    assert baseline, "shipped baseline should exercise the ratchet"
-    for key, count in baseline.items():
-        rule, rel, content = key.split("::", 2)
-        assert rule.startswith(("R", "W"))
-        assert (ROOT / rel).is_file(), f"baseline names missing file {rel}"
-        assert count >= 1 and content
+    # Known findings are fixed, not frozen: the shipped file loads and
+    # holds no entries.
+    assert load_baseline(ROOT / "analysis-baseline.json") == {}

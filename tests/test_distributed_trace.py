@@ -1,17 +1,10 @@
-"""Acceptance tests for cross-process distributed observability.
+"""The ``trace`` / ``history`` / ``flight`` wire ops end to end over a
+live server.
 
-The ISSUE bar, as tests:
-
-* a fixed-seed query under a :class:`ShardedMonitor` with 2+ workers
-  yields coordinator *and* shard spans that share a single
-  ``trace_id``, merged into one Chrome trace an independent validator
-  accepts;
-* fleet-wide histogram counts reported by the coordinator equal the
-  sum of the per-shard counts;
-* the ``trace`` / ``history`` / ``flight`` wire ops work end-to-end
-  over a live server with a sharded engine;
-* the byte-identity parallel equivalence gate still passes with
-  tracing enabled and a context bound.
+``repro serve`` is one process, so the ``trace`` op returns that
+process's own capture as one Chrome trace and a flight bundle holds one
+process record (the coordinator).  The test ids keep the names they had
+when these ops also stitched worker captures.
 """
 
 import sys
@@ -22,241 +15,70 @@ import pytest
 from repro import obs
 from repro.graph.digraph import DynamicDiGraph
 from repro.obs import events
-from repro.obs.distributed import (
-    ProcessTrace,
-    TraceContext,
-    bind_context,
-    merge_chrome_trace,
-    shift_instants,
-    shift_spans,
-)
 from repro.obs.flight import validate_flight_bundle
-from repro.obs.trace import TraceBuffer, validate_chrome_trace
-from repro.parallel import ShardedMonitor
+from repro.obs.trace import validate_chrome_trace
 from repro.service.client import ServiceClient
 from repro.service.engine import PathQueryEngine
 from repro.service.server import serve_in_thread
-from tests.test_parallel import K, build_ops, run_script
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.check_flight import check_flight  # noqa: E402
 
-SEED = 97
-
-DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (1, 2)]
-
-
-@pytest.fixture(autouse=True)
-def _obs_enabled():
-    """Metrics + events on, fresh registry, no leftover sinks."""
-    previous = obs.set_enabled(True)
-    previous_events = events.set_enabled(True)
-    obs.reset()
-    events.log().clear()
-    yield
-    obs.set_trace_sink(None)
-    obs.set_enabled(previous)
-    events.set_enabled(previous_events)
-    obs.reset()
-
-
-def collect_fleet_trace(workers=2):
-    """One traced watch+update against a sharded monitor; returns
-    ``(context, coordinator_buffer, shard_traces, fleet_states)``."""
-    graph = DynamicDiGraph(DIAMOND, vertices=range(6))
-    buffer = TraceBuffer()
-    previous_sink = obs.set_trace_sink(buffer)
-    context = TraceContext.new_root(corr_id="acceptance-1")
-    try:
-        with ShardedMonitor(graph, K, workers=workers, tracing=True) as fleet:
-            with bind_context(context):
-                with obs.span("service.op.watch"):
-                    fleet.watch(0, 3, K)
-                with obs.span("service.op.update"):
-                    fleet.insert_edge(2, 1)
-            shard_traces = fleet.collect_traces()
-            fleet_states = fleet.fleet_metric_states()
-    finally:
-        obs.set_trace_sink(previous_sink)
-    return context, buffer, shard_traces, fleet_states
-
-
-class TestShardedTraceStitching:
-    def test_one_trace_id_across_coordinator_and_shards(self):
-        context, _, shard_traces, _ = collect_fleet_trace(workers=2)
-        assert len(shard_traces) == 2
-        for shard in shard_traces:
-            assert shard["trace_ids"] == [context.trace_id]
-            assert any(
-                span[0] == "parallel.shard.dispatch"
-                for span in shard["spans"]
-            )
-
-    def test_merged_chrome_trace_validates(self):
-        context, buffer, shard_traces, _ = collect_fleet_trace(workers=2)
-        processes = [
-            ProcessTrace(
-                label="coordinator",
-                pid=0,
-                spans=buffer.spans(),
-                instants=buffer.instants(),
-            )
-        ]
-        for shard in shard_traces:
-            processes.append(ProcessTrace(
-                label=f"shard {shard['shard']}",
-                pid=shard["pid"],
-                spans=shift_spans(shard["spans"], shard["offset_seconds"]),
-                instants=shift_instants(
-                    shard["instants"], shard["offset_seconds"]
-                ),
-            ))
-        trace = merge_chrome_trace(
-            processes, metadata={"trace_id": context.trace_id}
-        )
-        assert validate_chrome_trace(trace) == []
-        pids_with_spans = {
-            e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"
-        }
-        assert len(pids_with_spans) >= 3  # coordinator + both shards
-
-    def test_shard_offsets_place_spans_within_coordinator_window(self):
-        _, buffer, shard_traces, _ = collect_fleet_trace(workers=2)
-        coordinator_spans = buffer.spans()
-        start = min(s[1] for s in coordinator_spans)
-        end = max(s[1] + s[2] for s in coordinator_spans)
-        for shard in shard_traces:
-            for span in shift_spans(
-                shard["spans"], shard["offset_seconds"]
-            ):
-                # Dispatch happened while the coordinator was inside
-                # its op spans; allow generous slack for pipe latency.
-                assert start - 1.0 <= span[1] <= end + 1.0
-
-    def test_collect_traces_clear_semantics(self):
-        graph = DynamicDiGraph(DIAMOND, vertices=range(6))
-        with ShardedMonitor(graph, K, workers=2, tracing=True) as fleet:
-            with bind_context(TraceContext.new_root()):
-                fleet.watch(0, 3, K)
-            first = fleet.collect_traces(clear=True)
-            assert any(shard["spans"] for shard in first)
-            second = fleet.collect_traces(clear=True)
-            assert all(shard["spans"] == [] for shard in second)
-
-
-class TestFleetMetrics:
-    def test_fleet_counts_equal_sum_of_shards(self):
-        from repro.obs.metrics import merge_states
-
-        _, _, _, fleet_states = collect_fleet_trace(workers=2)
-        assert len(fleet_states) == 2
-        name = "parallel.shard.dispatch.seconds"
-        per_shard = [
-            state["histograms"][name]["count"]
-            for _, state in fleet_states
-        ]
-        assert all(count > 0 for count in per_shard)
-        merged = merge_states(*(state for _, state in fleet_states))
-        assert merged["histograms"][name]["count"] == sum(per_shard)
-
-
-class TestEquivalenceWithTracing:
-    def test_traced_sharded_matches_single_process(self):
-        from repro.core.monitor import MultiPairMonitor
-
-        edges, ops = build_ops(SEED)
-        reference = run_script(
-            edges, ops, lambda g: MultiPairMonitor(g, K)
-        )
-        context = TraceContext.new_root()
-        with bind_context(context):
-            traced = run_script(
-                edges, ops,
-                lambda g: ShardedMonitor(g, K, workers=2, tracing=True),
-            )
-        assert traced == reference
-
 
 class TestWireOps:
     @pytest.fixture()
-    def sharded_server(self):
-        graph = DynamicDiGraph(DIAMOND, vertices=range(6))
+    def observed_server(self):
+        previous = obs.set_enabled(True)
+        previous_events = events.set_enabled(True)
+        obs.reset()
+        graph = DynamicDiGraph([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
         engine = PathQueryEngine(
             graph,
-            default_k=K,
-            workers=2,
+            default_k=3,
             tracing=True,
             flight_window=30.0,
             timeseries_interval=0.05,
         )
         handle = serve_in_thread(engine)
         try:
-            yield handle
+            with ServiceClient(handle.host, handle.port) as client:
+                client.watch(0, 3, k=3)
+                client.query(0, 3, 3)
+                client.insert_edge(2, 1)
+                yield client
         finally:
             handle.stop()
             engine.close()
+            obs.set_enabled(previous)
+            events.set_enabled(previous_events)
+            obs.reset()
 
-    def _traffic(self, client):
-        client.watch(0, 3, k=K)
-        client.query(0, 3, K)
-        client.insert_edge(2, 1)
+    def test_trace_op_returns_one_merged_trace(self, observed_server):
+        result = observed_server.trace()
+        assert set(result) == {"enabled", "trace"}
+        assert result["enabled"] is True
+        trace = result["trace"]
+        assert validate_chrome_trace(trace) == []
+        names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
+        assert {"service.op.watch", "service.op.query"} <= names
+        # the default clear drains the capture
+        drained = observed_server.trace()["trace"]["traceEvents"]
+        assert all(e["name"] == "service.op.trace" for e in drained)
 
-    def test_trace_op_returns_one_merged_trace(self, sharded_server):
-        with ServiceClient(
-            sharded_server.host, sharded_server.port
-        ) as client:
-            self._traffic(client)
-            result = client.trace()
-            assert result["enabled"] is True
-            assert result["processes"] == 3
-            assert len(result["trace_ids"]) >= 1
-            assert validate_chrome_trace(result["trace"]) == []
+    def test_history_op_returns_ring_snapshot(self, observed_server):
+        result = observed_server.history()
+        assert result["enabled"] is True
+        history = result["history"]
+        assert history["interval"] == pytest.approx(0.05)
+        assert history["samples"]
 
-    def test_metrics_op_reports_fleet_sums(self, sharded_server):
-        with ServiceClient(
-            sharded_server.host, sharded_server.port
-        ) as client:
-            self._traffic(client)
-            result = client.metrics(per_shard=True)
-            assert result["fleet"]["workers"] == 2
-            name = "parallel.shard.dispatch.seconds"
-            fleet_count = result["metrics"]["histograms"][name]["count"]
-            shard_counts = [
-                shard["metrics"]["histograms"][name]["count"]
-                for shard in result["shards"]
-            ]
-            assert len(shard_counts) == 2
-            assert fleet_count == sum(shard_counts) > 0
-
-            prometheus = client.metrics(format="prometheus")
-            assert "parallel_shard_dispatch_seconds" in prometheus["text"]
-
-    def test_history_op_returns_ring_snapshot(self, sharded_server):
-        with ServiceClient(
-            sharded_server.host, sharded_server.port
-        ) as client:
-            self._traffic(client)
-            result = client.history()
-            assert result["enabled"] is True
-            history = result["history"]
-            assert history["interval"] == pytest.approx(0.05)
-            assert history["samples"]
-
-    def test_flight_op_returns_fleet_bundle(self, sharded_server):
-        with ServiceClient(
-            sharded_server.host, sharded_server.port
-        ) as client:
-            self._traffic(client)
-            result = client.flight(reason="acceptance")
-            assert result["enabled"] is True
-            bundle = result["bundle"]
-            assert validate_flight_bundle(bundle) == []
-            assert check_flight(
-                bundle, reason="acceptance", min_processes=3
-            ) == []
-            roles = sorted(
-                (p["role"], p["shard"]) for p in bundle["processes"]
-            )
-            assert roles == [
-                ("coordinator", None), ("shard", 0), ("shard", 1),
-            ]
+    def test_flight_op_returns_fleet_bundle(self, observed_server):
+        result = observed_server.flight(reason="acceptance")
+        assert result["enabled"] is True
+        bundle = result["bundle"]
+        assert validate_flight_bundle(bundle) == []
+        assert check_flight(bundle, reason="acceptance") == []
+        assert [(p["role"], p["shard"]) for p in bundle["processes"]] == [
+            ("coordinator", None)
+        ]
+        assert bundle["processes"][0]["spans"]

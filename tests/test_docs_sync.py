@@ -115,15 +115,14 @@ def test_analysis_md_examples_reflect_the_rules():
 def test_api_md_names_exist():
     """Spot-check that classes named in docs/API.md are importable."""
     import repro
-    from repro import apps, baselines, batching, core, parallel, related
-    from repro import service, workloads
+    from repro import apps, baselines, core, related, service, workloads
 
     text = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
     for name, owner in (
         ("CpeEnumerator", repro),
         ("MultiPairMonitor", core),
         ("PairKey", core),
-        ("snapshot_size_bytes", core.serialize),
+        ("save_enumerator", core.serialize),
         ("CsmStarEnumerator", baselines),
         ("CsmDcgEnumerator", baselines),
         ("RiskMonitor", apps),
@@ -131,11 +130,6 @@ def test_api_md_names_exist():
         ("k_shortest_simple_paths", related),
         ("run_dynamic", workloads),
         ("service_traffic", workloads),
-        ("ShardedMonitor", parallel),
-        ("WorkerPool", parallel),
-        ("detect_groups", batching),
-        ("SharedConstructionEngine", batching),
-        ("GatherWindow", batching),
         ("PathQueryEngine", service),
         ("PathQueryServer", service),
         ("ServiceClient", service),
@@ -144,3 +138,16 @@ def test_api_md_names_exist():
     ):
         assert name in text
         assert hasattr(owner, name), f"{name} documented but not exported"
+
+
+def test_docs_name_no_removed_subsystem():
+    """Sharding, batching and the planner are gone; so are their docs."""
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    for path in docs:
+        text = path.read_text(encoding="utf-8")
+        for name in (
+            "repro.parallel", "repro.batching", "repro.planner",
+            "repro.obs.distributed", "--workers", "--batch-window",
+            "--planner", "--per-shard",
+        ):
+            assert name not in text, f"{path.name} still names {name}"

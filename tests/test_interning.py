@@ -147,27 +147,6 @@ class TestDualPlaneAdjacency:
         rev_out, _ = g.reverse_view().int_adjacency()
         assert [list(a) for a in fwd_in] == [list(a) for a in rev_out]
 
-    def test_packed_adjacency_is_csr_of_the_dict_plane(self):
-        rng = random.Random(5)
-        g = make_random_graph(rng)
-        vertices, indptr, indices = g.packed_adjacency()
-        assert vertices == list(g.vertices())
-        assert indptr[0] == 0 and indptr[-1] == len(indices)
-        for pos, v in enumerate(vertices):
-            neigh = [
-                vertices[indices[slot]]
-                for slot in range(indptr[pos], indptr[pos + 1])
-            ]
-            assert neigh == list(g.out_neighbors(v))
-
-    def test_packed_adjacency_numpy_and_fallback_agree(self, monkeypatch):
-        pytest.importorskip("numpy")
-        rng = random.Random(23)
-        g = make_random_graph(rng)
-        with_np = g.packed_adjacency()
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert g.packed_adjacency() == with_np
-
 
 # ----------------------------------------------------------------------
 # Written masks and the join program

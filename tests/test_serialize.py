@@ -8,10 +8,8 @@ import pytest
 from repro.baselines.bruteforce import path_set
 from repro.core.enumerator import CpeEnumerator
 from repro.core.serialize import (
-    graph_snapshot,
     load_enumerator,
     restore,
-    restore_graph,
     save_enumerator,
     snapshot,
 )
@@ -101,17 +99,6 @@ class TestSnapshotRestore:
                 )
             assert set(clone.startup()) == set(cpe.startup())
 
-    def test_snapshot_size_bytes_hook(self):
-        from repro.core.serialize import snapshot_size_bytes
-
-        cpe = make_cpe()
-        full = snapshot_size_bytes(cpe)
-        slim = snapshot_size_bytes(cpe, include_graph=False)
-        assert 0 < slim < full
-        assert full == len(
-            json.dumps(snapshot(cpe), separators=(",", ":")).encode("utf-8")
-        )
-
     def test_randomized_round_trips_after_updates(self):
         rng = random.Random(55)
         for _ in range(15):
@@ -132,103 +119,3 @@ class TestSnapshotRestore:
                 result = clone.insert_edge(u, v)
                 fresh = path_set(clone.graph, s, t, k)
                 assert set(result.paths) == fresh - path_set(g, s, t, k)
-
-
-class TestGraphSnapshotV2:
-    """The packed-CSR graph snapshot (format v2) and v1 compatibility."""
-
-    def test_v2_payload_shape(self):
-        g = DynamicDiGraph([(0, 1), (1, 2), (0, 2)])
-        state = graph_snapshot(g)
-        assert state["format"] == "repro/graph-snapshot"
-        assert state["version"] == 2
-        assert state["vertices"] == [0, 1, 2]
-        assert state["indptr"] == [0, 2, 3, 3]
-        # indices are positions into `vertices`, so the payload is
-        # self-contained for arbitrary vertex labels
-        assert state["indices"] == [1, 2, 2]
-        json.dumps(state)  # JSON-representable
-
-    def test_round_trip_preserves_structure_and_order(self):
-        rng = random.Random(99)
-        g = make_random_graph(rng)
-        r = restore_graph(graph_snapshot(g))
-        assert list(r.vertices()) == list(g.vertices())
-        assert list(r.edges()) == list(g.edges())
-        for v in g.vertices():
-            assert list(r.out_neighbors(v)) == list(g.out_neighbors(v))
-
-    def test_round_trip_is_a_fixed_point(self):
-        rng = random.Random(7)
-        g = make_random_graph(rng)
-        state = graph_snapshot(g)
-        assert graph_snapshot(restore_graph(state)) == state
-
-    def test_round_trip_after_updates(self):
-        rng = random.Random(31)
-        g = make_random_graph(rng)
-        vs = list(g.vertices())
-        for _ in range(25):
-            u, v = rng.sample(vs, 2)
-            if g.has_edge(u, v):
-                g.remove_edge(u, v)
-            else:
-                g.add_edge(u, v)
-        r = restore_graph(graph_snapshot(g))
-        assert list(r.edges()) == list(g.edges())
-        assert graph_snapshot(r) == graph_snapshot(g)
-
-    def test_empty_graph(self):
-        r = restore_graph(graph_snapshot(DynamicDiGraph()))
-        assert r.num_vertices == 0
-        assert r.num_edges == 0
-
-    def test_self_loop_and_isolated_vertex(self):
-        g = DynamicDiGraph()
-        g.add_edge("a", "a")
-        g.add_vertex("b")
-        r = restore_graph(graph_snapshot(g))
-        assert list(r.vertices()) == ["a", "b"]
-        assert list(r.edges()) == [("a", "a")]
-
-    def test_v1_payload_still_restores_identically(self):
-        rng = random.Random(13)
-        g = make_random_graph(rng)
-        v1 = {
-            "format": "repro/graph-snapshot",
-            "version": 1,
-            "vertices": list(g.vertices()),
-            "edges": [list(e) for e in g.edges()],
-        }
-        from_v1 = restore_graph(v1)
-        from_v2 = restore_graph(graph_snapshot(g))
-        assert list(from_v1.vertices()) == list(from_v2.vertices())
-        assert list(from_v1.edges()) == list(from_v2.edges())
-        for v in g.vertices():
-            assert list(from_v1.out_neighbors(v)) == list(
-                from_v2.out_neighbors(v)
-            )
-            assert list(from_v1.in_neighbors(v)) == list(
-                from_v2.in_neighbors(v)
-            )
-
-    def test_rejects_wrong_graph_version(self):
-        g = DynamicDiGraph([(0, 1)])
-        state = graph_snapshot(g)
-        state["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            restore_graph(state)
-
-    def test_rejects_wrong_graph_format(self):
-        with pytest.raises(ValueError, match="not a graph snapshot"):
-            restore_graph({"format": "something-else", "version": 2})
-
-    def test_restored_replica_enumerates_identically(self):
-        # the parallel layer's contract: a worker restored from the
-        # snapshot must produce byte-identical enumeration output
-        g = DynamicDiGraph([(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
-        replica_a = restore_graph(graph_snapshot(g))
-        replica_b = restore_graph(graph_snapshot(g))
-        paths_a = CpeEnumerator(replica_a, 0, 3, 3).startup()
-        paths_b = CpeEnumerator(replica_b, 0, 3, 3).startup()
-        assert paths_a == paths_b

@@ -1,16 +1,14 @@
-"""Service-level batch query tests: wire validation, the byte-identity
-equivalence gate, cache accounting, and the server's gather window.
+"""Service-level ``batch_query`` tests: wire validation, the byte-identity
+equivalence gate, and cache accounting.
 
-The contract under test (docs/BATCHING.md): a ``batch_query`` answers
-every member exactly as sequential ``query`` execution in arrival order
-would — same bytes, same cache counters, same ``source`` labels — no
-matter how the members group.
+The contract under test: a ``batch_query`` answers every member exactly
+as sequential ``query`` execution in arrival order would — same bytes,
+same cache counters, same ``source`` labels — and an invalid member
+fails the whole batch before any member runs.
 """
 
 import json
 import random
-import threading
-import time
 
 import pytest
 
@@ -18,10 +16,9 @@ from repro.baselines.bruteforce import path_set
 from repro.graph.digraph import DynamicDiGraph
 from repro.service.client import ServiceClient
 from repro.service.engine import PathQueryEngine
-from repro.service.loadgen import run_load
 from repro.service.protocol import (
     BadRequestError,
-    DeadlineExceededError,
+    decode_paths,
     decode_request,
 )
 from repro.service.server import serve_in_thread
@@ -121,8 +118,7 @@ class TestEquivalenceGate:
         rng = random.Random(7)
         _, sequential, batched = self._twin_engines(rng, 4 << 20)
         out = self._assert_equivalent(sequential, batched, [(0, 1, 3)])
-        assert out["batch"]["singletons"] == 1
-        assert out["batch"]["bfs_saved"] == 0
+        assert set(out) == {"results"}
 
     def test_watched_members_byte_identical(self):
         graph = _diamond()
@@ -151,19 +147,51 @@ class TestEquivalenceGate:
             ]
             self._assert_equivalent(sequential, batched, triples)
 
+    def test_members_answer_as_sequential_queries(self):
+        engine = PathQueryEngine(_diamond(), default_k=3)
+        engine.handle("watch", {"s": 0, "t": 3, "k": 3})
+        triples = [(0, 3, 3), (0, 3, 2), (1, 3, 2), (0, 3, 2)]
+        out = engine.handle(
+            "batch_query", {"queries": [list(t) for t in triples]}
+        )
+        assert [m["source"] for m in out["results"]] == [
+            "watched", "miss", "miss", "hit"
+        ]
+        for (s, t, k), member in zip(triples, out["results"]):
+            assert set(decode_paths(member["paths"])) == path_set(
+                engine.graph, s, t, k
+            )
+            assert member["count"] == len(member["paths"])
+        served = engine.op_stats()["served"]
+        assert served["query"] == len(triples)
+        assert served["batch_query"] == 1
+
     def test_invalid_member_is_a_bad_request(self):
         engine = PathQueryEngine(_diamond())
         with pytest.raises(BadRequestError):
             engine.handle("batch_query", {"queries": [(0, 3, 3), (1, 1, 2)]})
 
+    def test_every_member_is_checked_before_any_runs(self):
+        # A k beyond the distance-table bound in a later member must
+        # fail the batch before the earlier members build anything.
+        engine = PathQueryEngine(_diamond(), default_k=3)
+        with pytest.raises(BadRequestError, match="253"):
+            engine.handle(
+                "batch_query", {"queries": [[0, 3, 3], [0, 2, 254]]}
+            )
+        stats = engine.op_stats()
+        assert stats["cache"]["misses"] == 0
+        assert stats["cache"]["entries"] == 0
+        assert "query" not in stats["served"]
+
 
 class TestCacheAccounting:
-    """Satellite check: batching must not skew per-query cache counters.
+    """Batching must not skew per-query cache counters.
 
-    A "clever" batch executor that answers duplicate members from its
-    memo *without* touching the cache would return the right paths but
-    under-count hits and corrupt LRU recency — this test is the tripwire
-    (it fails against such an implementation).
+    An executor that answered duplicate members from a per-batch memo
+    *without* touching the cache would return the right paths but
+    under-count hits and corrupt LRU recency — these tests are the
+    tripwire (they fail against such an implementation).
     """
 
     def test_duplicate_members_still_hit_the_cache(self):
@@ -174,11 +202,10 @@ class TestCacheAccounting:
         )
         stats = engine.handle("stats", {})["cache"]
         assert stats["misses"] == 1
-        assert stats["hits"] == 2  # the memo does NOT bypass the cache
+        assert stats["hits"] == 2
         assert [m["source"] for m in out["results"]] == [
             "miss", "hit", "hit"
         ]
-        assert out["batch"]["memo_answers"] == 2
 
     def test_lru_recency_matches_sequential_under_eviction(self):
         # A budget sized for ~2 entries: recency decides who is evicted,
@@ -205,117 +232,6 @@ class TestCacheAccounting:
         assert seq_cache["evictions"] > 0  # the scenario exercised eviction
 
 
-class TestGatherWindowOverTheWire:
-    def test_concurrent_queries_form_one_batch(self):
-        graph = _diamond()
-        engine = PathQueryEngine(graph, default_k=3)
-        handle = serve_in_thread(engine, batch_window_ms=80)
-        try:
-            results = {}
-            barrier = threading.Barrier(4)
-
-            def worker(name, s, t, k):
-                with ServiceClient(handle.host, handle.port) as client:
-                    barrier.wait()
-                    results[name] = client.query(s, t, k)
-
-            specs = [(0, 3, 3), (0, 4, 3), (0, 3, 3), (1, 4, 2)]
-            threads = [
-                threading.Thread(target=worker, args=(i, *spec))
-                for i, spec in enumerate(specs)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for i, (s, t, k) in enumerate(specs):
-                assert set(results[i]) == path_set(graph, s, t, k)
-
-            with ServiceClient(handle.host, handle.port) as client:
-                stats = client.stats()
-            assert stats["batching"]["members"] == 4
-            window = stats["server"]["batch_window"]
-            assert window["window_ms"] == 80
-            assert window["flushed_members"] == 4
-            assert 1 <= window["flushed_batches"] <= 2
-        finally:
-            handle.stop()
-
-    def test_expired_member_rejected_others_answered(self):
-        graph = _diamond()
-        engine = PathQueryEngine(graph, default_k=3)
-        handle = serve_in_thread(engine, batch_window_ms=120)
-        try:
-            outcome = {}
-
-            def doomed():
-                with ServiceClient(handle.host, handle.port) as client:
-                    try:
-                        client.query(0, 3, 3, deadline_ms=1)
-                    except DeadlineExceededError as exc:
-                        outcome["error"] = exc
-
-            def survivor():
-                with ServiceClient(handle.host, handle.port) as client:
-                    outcome["paths"] = client.query(0, 4, 3)
-
-            threads = [
-                threading.Thread(target=doomed),
-                threading.Thread(target=survivor),
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert isinstance(outcome["error"], DeadlineExceededError)
-            assert set(outcome["paths"]) == path_set(graph, 0, 4, 3)
-        finally:
-            handle.stop()
-
-    def test_update_landing_mid_window_is_visible_to_the_batch(self):
-        graph = DynamicDiGraph([(0, 1), (1, 3)])
-        engine = PathQueryEngine(graph, default_k=2)
-        handle = serve_in_thread(engine, batch_window_ms=400)
-        try:
-            answer = {}
-
-            def querier():
-                with ServiceClient(handle.host, handle.port) as client:
-                    answer["paths"] = client.query(0, 3, 2)
-
-            thread = threading.Thread(target=querier)
-            thread.start()
-            time.sleep(0.1)  # inside the window
-            with ServiceClient(handle.host, handle.port) as client:
-                client.insert_edge(0, 3)  # updates are never windowed
-            thread.join()
-            # the batch ran after the update, exactly like a sequential
-            # query that queued behind it
-            assert set(answer["paths"]) == {(0, 3), (0, 1, 3)}
-        finally:
-            handle.stop()
-
-    def test_shutdown_flushes_the_window(self):
-        graph = _diamond()
-        engine = PathQueryEngine(graph, default_k=3)
-        handle = serve_in_thread(engine, batch_window_ms=10_000)
-        try:
-            answer = {}
-
-            def querier():
-                with ServiceClient(handle.host, handle.port) as client:
-                    answer["paths"] = client.query(0, 3, 3)
-
-            thread = threading.Thread(target=querier)
-            thread.start()
-            time.sleep(0.15)  # let the query reach the (long) window
-        finally:
-            handle.stop()  # must flush, not strand the member
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert set(answer["paths"]) == path_set(graph, 0, 3, 3)
-
-
 class TestClientAndLoadgen:
     def test_explicit_batch_query_round_trip(self):
         graph = _diamond()
@@ -324,40 +240,14 @@ class TestClientAndLoadgen:
         try:
             with ServiceClient(handle.host, handle.port) as client:
                 out = client.batch_query([(0, 3, 3), (0, 4, 3), (0, 3, 3)])
+            assert set(out) == {"results"}
             assert [set(m["paths"]) for m in out["results"]] == [
                 path_set(graph, 0, 3, 3),
                 path_set(graph, 0, 4, 3),
                 path_set(graph, 0, 3, 3),
             ]
-            assert out["batch"]["members"] == 3
-            assert out["batch"]["memo_answers"] == 1
-        finally:
-            handle.stop()
-
-    def test_run_load_batch_mode_counts_members(self):
-        graph = _diamond()
-        engine = PathQueryEngine(graph, default_k=3)
-        handle = serve_in_thread(engine)
-        try:
-            ops = [
-                ("query", 0, 3, 3),
-                ("query", 0, 4, 3),
-                ("query", 1, 4, 2),
-                ("update", 2, 4, True),
-                ("query", 0, 3, 3),
+            assert [m["source"] for m in out["results"]] == [
+                "miss", "miss", "hit"
             ]
-            report = run_load(handle.host, handle.port, ops, batch_size=2)
-            assert report.requests == 5
-            assert report.ok == 5
-            assert not report.errors
-            assert len(report.latencies) == 5
-            # update flushed the open chunk first, so ordering held and
-            # the final query saw the inserted edge's graph
-            stats = engine.handle("stats", {})
-            assert stats["batching"]["members"] == 4
         finally:
             handle.stop()
-
-    def test_run_load_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            run_load("127.0.0.1", 1, [], batch_size=0)

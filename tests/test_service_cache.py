@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.baselines.bruteforce import path_set
-from repro.core.serialize import snapshot_size_bytes
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
 from repro.obs import events
 from repro.core.construction import build_index
@@ -75,10 +74,10 @@ class TestOutcomeReporting:
         assert tiny.get_or_build(0, 4, 4).outcome == "bypass"
 
     def test_bypass_outcome_survives_nested_same_key_insert(self):
-        # The build hook caches a fitting entry for the same key via a
-        # nested lookup, then hands back an oversized enumerator.  The
-        # outer call bypasses, yet ``key in cache`` is True afterwards —
-        # the old inference would have reported "miss".
+        # The miss path's build caches a fitting entry for the same key
+        # via a nested lookup, then hands back an oversized enumerator.
+        # The outer call bypasses, yet ``key in cache`` is True
+        # afterwards — the old inference would have reported "miss".
         g = chain_graph()
         fitting = CpeEnumerator.from_build(g, build_index(g, 0, 4, 4))
         budget = estimated_entry_bytes(fitting) + 1
@@ -92,11 +91,15 @@ class TestOutcomeReporting:
                     left_paths=budget, right_paths=budget, vertex_slots=budget
                 )
 
-        def build():
-            cache.get_or_build(0, 4, 4)  # nested: caches a fitting entry
-            return Oversized.from_build(g, build_index(g, 0, 4, 4))
+        fresh_build = cache._build
 
-        lookup = cache.get_or_build(0, 4, 4, build=build)
+        def build(s, t, k):
+            cache._build = fresh_build
+            cache.get_or_build(s, t, k)  # nested: caches a fitting entry
+            return Oversized.from_build(g, build_index(g, s, t, k))
+
+        cache._build = build
+        lookup = cache.get_or_build(0, 4, 4)
         assert (0, 4, 4) in cache
         assert lookup.outcome == "bypass"
 
@@ -249,27 +252,6 @@ class TestObserveAll:
             "hits", "misses", "evictions", "bypasses",
             "entries", "current_bytes", "budget_bytes", "hit_rate",
         }
-
-
-class TestSizingHook:
-    def test_graphless_size_is_smaller(self):
-        g = chain_graph()
-        cache = IndexCache(g)
-        enum = cache.get_or_build(0, 4, 4).enumerator
-        with_graph = snapshot_size_bytes(enum)
-        without = snapshot_size_bytes(enum, include_graph=False)
-        assert 0 < without < with_graph
-
-    def test_size_matches_serialized_length(self):
-        import json
-
-        from repro.core.serialize import snapshot
-
-        enum = IndexCache(chain_graph()).get_or_build(0, 4, 4).enumerator
-        expected = len(
-            json.dumps(snapshot(enum), separators=(",", ":")).encode()
-        )
-        assert snapshot_size_bytes(enum) == expected
 
 
 @pytest.fixture

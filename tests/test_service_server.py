@@ -7,10 +7,13 @@ deadline and admission rejections come back as structured protocol
 errors, never a crash or hang.
 """
 
+import json
 import random
 import socket
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,9 @@ from repro.service.protocol import (
 )
 from repro.service.server import serve_in_thread
 from tests.conftest import make_random_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from benchmarks.check_flight import check_flight  # noqa: E402
 
 
 @pytest.fixture()
@@ -262,6 +268,44 @@ class TestAdmissionOverTheWire:
             thread.join(timeout=5)
         finally:
             handle.stop()
+
+
+class TestDeadlineBurstDump:
+    def test_deadline_misses_write_one_burst_dump(self, tmp_path):
+        graph = DynamicDiGraph([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
+        engine = PathQueryEngine(graph, default_k=3, flight_window=30.0)
+        dumps = []
+
+        def write_dump(reason, bundle):
+            dumps.append(reason)
+            target = tmp_path / f"repro-flight-{reason}.json"
+            target.write_text(json.dumps(bundle), encoding="utf-8")
+
+        engine.on_flight_dump = write_dump
+        handle = serve_in_thread(engine)
+        try:
+            with ServiceClient(handle.host, handle.port) as client:
+                for _ in range(5):
+                    response = client.request(
+                        "query", deadline_ms=0, s=0, t=3, k=3
+                    )
+                    assert response.error["code"] == "deadline_exceeded"
+                assert set(client.query(0, 3, 3)) == path_set(graph, 0, 3, 3)
+                target = tmp_path / "repro-flight-deadline-burst.json"
+                give_up = time.monotonic() + 10.0
+                while not target.exists() and time.monotonic() < give_up:
+                    time.sleep(0.05)
+                assert target.exists()
+                # the dump holds an admission slot while it writes, so a
+                # stats round trip queued behind it returns once it is done
+                client.stats()
+        finally:
+            handle.stop()
+            engine.close()
+        assert dumps == ["deadline-burst"]
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+        bundle = json.loads(target.read_text(encoding="utf-8"))
+        assert check_flight(bundle, reason="deadline-burst") == []
 
 
 class TestShutdown:
