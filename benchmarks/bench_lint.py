@@ -3,8 +3,7 @@
 `repro lint src/` runs on every CI build and is meant to be cheap
 enough to run on every save; the budget is ten seconds for the whole
 tree with the two-phase whole-program engine (it runs in well under
-one on the reference machine).  Findings are judged against the
-committed ``analysis-baseline.json`` ratchet, matching what CI
+one on the reference machine).  The tree must have no finding, as CI
 enforces.  The run is recorded under
 ``benchmarks/results/lint_full_repo.txt`` and its timings published as
 ``lint_*`` metrics for the regression gate.
@@ -18,11 +17,9 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import RESULTS_DIR, metric, publish_json
-from repro.analysis import apply_baseline, load_baseline, run_lint
+from repro.analysis import run_lint
 
-ROOT = Path(__file__).parent.parent
-SRC = ROOT / "src"
-BASELINE = ROOT / "analysis-baseline.json"
+SRC = Path(__file__).parent.parent / "src"
 
 #: Hard wall-clock budget for one full-repo lint pass, in seconds.
 #: Raised from 5s when the engine grew the whole-program phase
@@ -36,12 +33,9 @@ def full_report():
 
 
 def bench_full_repo_lint_under_budget(full_report):
-    frozen = apply_baseline(
-        full_report.findings, load_baseline(BASELINE), ROOT
-    )
-    assert frozen.new == (), (
-        "the repo must lint clean modulo the committed baseline; new: "
-        + "; ".join(f.render() for f in frozen.new)
+    assert full_report.findings == (), (
+        "the repo must lint clean; found: "
+        + "; ".join(f.render() for f in full_report.findings)
     )
     assert full_report.files_scanned > 50
     assert full_report.elapsed_seconds < FULL_REPO_BUDGET_SECONDS, (
@@ -62,7 +56,6 @@ def bench_full_repo_lint_under_budget(full_report):
             f"cold pass    {full_report.elapsed_seconds * 1e3:.1f} ms",
             f"warm pass    {warm * 1e3:.1f} ms",
             f"per file     {per_file * 1e3:.2f} ms",
-            f"frozen       {len(frozen.frozen)} baseline finding(s)",
             f"budget       {FULL_REPO_BUDGET_SECONDS:.0f} s",
         ]
     )
@@ -102,7 +95,6 @@ def bench_program_phase_skipped_for_module_rules(full_report):
 
 __all__ = [
     "SRC",
-    "BASELINE",
     "FULL_REPO_BUDGET_SECONDS",
     "full_report",
     "bench_full_repo_lint_under_budget",

@@ -14,7 +14,7 @@ Run:  python examples/paper_walkthrough.py
 """
 
 from repro import CpeEnumerator, DynamicDiGraph
-from repro.core.distance import induced_vertices
+from repro.core.distance import DistanceMap, induced_vertices
 
 
 def banner(title: str) -> None:
@@ -50,7 +50,10 @@ def main() -> None:
     cpe = CpeEnumerator(graph, s, t, k)
 
     banner("preprocessing: distance maps and induced subgraph (Theorem 4)")
-    dist_s, dist_t = cpe.dist_s, cpe.dist_t
+    # The index keeps its own maps to k - 1 hops, as far as any of its
+    # tests reads; V_sub needs them to k hops.
+    dist_s = DistanceMap(graph, s, horizon=k)
+    dist_t = DistanceMap(graph.reverse_view(), t, horizon=k)
     for v in sorted(graph.vertices()):
         ds = dist_s.get(v)
         dt = dist_t.get(v)

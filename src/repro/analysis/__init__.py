@@ -15,22 +15,14 @@ offending shapes before runtime with a two-phase whole-program lint:
   ``# repro: noqa[RULE]`` suppression;
 - :mod:`repro.analysis.apidoc` — the ``docs/API.md`` reader backing the
   export-consistency rule;
-- :mod:`repro.analysis.baseline` — the findings-baseline ratchet
-  (freeze pre-existing findings, fail only new ones);
 - :mod:`repro.analysis.reporters` — text, JSON, and SARIF 2.1.0
   rendering.
 
 CLI entry point: ``repro lint [--format text|json|sarif]
-[--select RULES] [--baseline FILE] [--update-baseline] [paths]``
-(see docs/ANALYSIS.md for the rule catalogue and baseline workflow).
+[--select RULES] [paths]`` (see docs/ANALYSIS.md for the rule
+catalogue).  Inline ``# repro: noqa[RULE]`` is the only suppression.
 """
 
-from repro.analysis.baseline import (
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import LintReport, run_lint
 from repro.analysis.findings import Finding
 from repro.analysis.program import ProgramFacts, build_program
@@ -47,10 +39,6 @@ __all__ = [
     "rules_for",
     "ProgramFacts",
     "build_program",
-    "BaselineResult",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
     "render_json",
     "render_sarif",
     "render_text",

@@ -1,24 +1,22 @@
 """Rendering a lint run: text, JSON, or SARIF 2.1.0.
 
-All three renderers are pure functions of the report (plus the
-optional baseline-frozen set), so their output is golden-testable:
-pass ``timings=False`` — or set ``REPRO_LINT_STABLE=1`` and let the
-CLI do it — and every byte of the output is deterministic.
+All three renderers are pure functions of the report, so their output
+is golden-testable: pass ``timings=False`` — or set
+``REPRO_LINT_STABLE=1`` and let the CLI do it — and every byte of the
+output is deterministic.
 
 ``render_sarif`` emits the subset of SARIF 2.1.0 that GitHub code
 scanning consumes: one run, the rule catalogue on ``tool.driver``,
-one result per finding with a ``physicalLocation``, and baseline-
-frozen findings carried as results with an ``external`` suppression
-(so code scanning shows them as suppressed instead of re-opening
-them).  Columns are converted from the 0-based AST offsets to the
-1-based convention SARIF requires.
+and one result per finding with a ``physicalLocation``.  Columns are
+converted from the 0-based AST offsets to the 1-based convention SARIF
+requires.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.analysis.findings import Finding
 
@@ -77,9 +75,9 @@ def _artifact_uri(path: str, root: Optional[Path]) -> str:
 
 
 def _sarif_result(
-    finding: Finding, root: Optional[Path], suppressed: bool
+    finding: Finding, root: Optional[Path]
 ) -> Dict[str, _JsonValue]:
-    result: Dict[str, _JsonValue] = {
+    return {
         "ruleId": finding.rule,
         "level": _level_for(finding.rule),
         "message": {"text": finding.message},
@@ -98,27 +96,11 @@ def _sarif_result(
             }
         ],
     }
-    if suppressed:
-        result["suppressions"] = [
-            {
-                "kind": "external",
-                "justification": "frozen in analysis-baseline.json",
-            }
-        ]
-    return result
 
 
-def render_sarif(
-    report: "LintReport",
-    frozen: Collection[Finding] = (),
-    root: Optional[Path] = None,
-) -> str:
-    """The run as a SARIF 2.1.0 document for GitHub code scanning.
-
-    ``report.findings`` become active results; ``frozen`` findings
-    (already subtracted from the report by the baseline) are appended
-    as suppressed results so the upload reflects the whole truth.
-    """
+def render_sarif(report: "LintReport", root: Optional[Path] = None) -> str:
+    """The run as a SARIF 2.1.0 document for GitHub code scanning: one
+    result per finding, with paths relative to ``root`` when given."""
     from repro.analysis.registry import all_rules
 
     descriptors: List[_JsonValue] = [
@@ -131,13 +113,8 @@ def render_sarif(
         for rule in all_rules()
     ]
     results: List[_JsonValue] = [
-        _sarif_result(finding, root, suppressed=False)
-        for finding in report.findings
+        _sarif_result(finding, root) for finding in report.findings
     ]
-    results.extend(
-        _sarif_result(finding, root, suppressed=True)
-        for finding in sorted(frozen)
-    )
     payload: Dict[str, _JsonValue] = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

@@ -339,16 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list the registered rules and exit",
     )
     ln.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="subtract the frozen findings in FILE "
-             "(repro-lint-baseline/1); only new findings fail",
-    )
-    ln.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file from this run's findings "
-             "(default file: analysis-baseline.json)",
-    )
-    ln.add_argument(
         "--timings", action="store_true",
         help="show elapsed time even under REPRO_LINT_STABLE=1",
     )
@@ -947,17 +937,10 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import dataclasses
     import os
     from pathlib import Path
 
     from repro.analysis import all_rules, render_json, render_text, run_lint
-    from repro.analysis.baseline import (
-        BaselineError,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
     from repro.analysis.reporters import render_sarif
     from repro.analysis.sources import repo_root_for
 
@@ -992,44 +975,13 @@ def _cmd_lint(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    root = repo_root_for(Path.cwd())
-    if args.update_baseline:
-        target = Path(args.baseline or "analysis-baseline.json")
-        entries = write_baseline(target, report.findings, root)
-        print(
-            f"baseline {target} updated: {len(report.findings)} findings "
-            f"frozen under {entries} fingerprints"
-        )
-        return 0
-
-    frozen = ()
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = apply_baseline(report.findings, baseline, root)
-        frozen = result.frozen
-        report = dataclasses.replace(report, findings=result.new)
-        for stale in result.stale:
-            print(
-                f"note: stale baseline entry (no longer found): {stale}",
-                file=sys.stderr,
-            )
-
     timings = args.timings or os.environ.get("REPRO_LINT_STABLE") != "1"
     if args.format == "json":
         rendered = render_json(report, timings=timings)
     elif args.format == "sarif":
-        rendered = render_sarif(report, frozen=frozen, root=root)
+        rendered = render_sarif(report, root=repo_root_for(Path.cwd()))
     else:
         rendered = render_text(report, timings=timings)
-        if frozen:
-            rendered += (
-                f"\n{len(frozen)} pre-existing finding(s) frozen by "
-                "the baseline"
-            )
     print(rendered)
     return 0 if report.ok else 1
 

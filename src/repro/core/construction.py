@@ -2,11 +2,14 @@
 
 Steps:
 
-1. **Preprocessing** — build the hop-capped distance maps ``Dist_s`` and
-   ``Dist_t`` with a bidirectional BFS (Theorem 4's induced subgraph is
-   implied: a vertex with ``Dist_s[v] + Dist_t[v] > k`` can never pass
-   the per-expansion admissibility test, so the search never leaves
-   ``G_sub`` even though we do not materialize it).
+1. **Preprocessing** — build the distance maps ``Dist_s`` and
+   ``Dist_t`` with a bidirectional BFS capped at the paper's horizon
+   ``k - 1`` (:func:`map_horizon`; every read compares a distance with
+   a budget of at most ``k - 1``, so ``far = k`` answers each one as the
+   true distance would).  Theorem 4's induced subgraph is implied: a
+   vertex with ``Dist_s[v] + Dist_t[v] > k`` can never pass the
+   per-expansion admissibility test, so the search never leaves
+   ``G_sub`` even though we do not materialize it.
 2. **Bidirectional level search** — grow all admissible left partial
    paths from ``s`` and right partial paths from ``t`` level by level,
    pruning every expansion with *distance pruning* (Optimization 1:
@@ -31,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.explain import active as explain_active
-from repro.core.distance import MAX_HORIZON, DistanceMap, induced_vertices
+from repro.core.distance import MAX_HORIZON, DistanceMap
 from repro.core.index import BitSpace, Bucket, PartialPathIndex
 from repro.core.paths import Path
 from repro.core.plan import JoinPlan
@@ -55,7 +58,16 @@ class ConstructionStats:
     right_paths: int = 0
     expansions: int = 0
     pruned: int = 0
-    induced_size: int = 0
+
+
+def map_horizon(k: int) -> int:
+    """The horizon of a ``k``-hop index's distance maps: ``k - 1``.
+
+    Every map read of construction and maintenance compares a distance
+    with a budget of at most ``k - 1`` (DESIGN.md §3), so a map capped
+    there, reading ``far = k`` beyond it, answers all of them exactly.
+    """
+    return max(k - 1, 0)
 
 
 @dataclass
@@ -88,11 +100,12 @@ def build_index(
     corresponding BFS of the preprocessing step — the hook the service
     cache's miss path uses to reuse a live entry's map for a shared
     endpoint.  An injected map must have been built for the
-    matching endpoint and ``horizon=k`` over the current graph state
-    (this is validated for source/horizon; content freshness is the
-    caller's contract), and is owned by the returned index's maintainer
-    from here on: pass a :meth:`~repro.core.distance.DistanceMap.clone`
-    when the master copy is reused.
+    matching endpoint and ``horizon=map_horizon(k)`` (``k - 1``) over
+    the current graph state (this is validated for source/horizon;
+    content freshness is the caller's contract), and is owned by the
+    returned index's maintainer from here on: pass a
+    :meth:`~repro.core.distance.DistanceMap.clone` when the master copy
+    is reused.
     """
     if s == t:
         raise ValueError("s and t must differ")
@@ -102,26 +115,30 @@ def build_index(
         raise ValueError(f"k must be at most {MAX_HORIZON}")
     if forced_plan is not None and forced_plan.k != k:
         raise ValueError(f"forced plan is for k={forced_plan.k}, not {k}")
-    if dist_s is not None and (dist_s.source != s or dist_s.horizon != k):
+    horizon = map_horizon(k)
+    if dist_s is not None and (
+        dist_s.source != s or dist_s.horizon != horizon
+    ):
         raise ValueError(
             f"injected dist_s is for ({dist_s.source!r}, horizon "
-            f"{dist_s.horizon}), not ({s!r}, {k})"
+            f"{dist_s.horizon}), not ({s!r}, {horizon})"
         )
-    if dist_t is not None and (dist_t.source != t or dist_t.horizon != k):
+    if dist_t is not None and (
+        dist_t.source != t or dist_t.horizon != horizon
+    ):
         raise ValueError(
             f"injected dist_t is for ({dist_t.source!r}, horizon "
-            f"{dist_t.horizon}), not ({t!r}, {k})"
+            f"{dist_t.horizon}), not ({t!r}, {horizon})"
         )
 
     stats = ConstructionStats()
     started = time.perf_counter()
     with obs.span("construction.prep"):
         if dist_s is None:
-            dist_s = DistanceMap(graph, s, horizon=k)
+            dist_s = DistanceMap(graph, s, horizon=horizon)
         if dist_t is None:
-            dist_t = DistanceMap(graph.reverse_view(), t, horizon=k)
+            dist_t = DistanceMap(graph.reverse_view(), t, horizon=horizon)
     stats.prep_seconds = time.perf_counter() - started
-    stats.induced_size = len(induced_vertices(dist_s, dist_t, k))
 
     started = time.perf_counter()
     with obs.span("construction.build"):
@@ -138,7 +155,6 @@ def build_index(
         obs.incr("construction.builds")
         obs.incr("construction.expansions", stats.expansions)
         obs.incr("construction.pruned", stats.pruned)
-        obs.observe("construction.induced_size", stats.induced_size)
         obs.observe("construction.left_paths", stats.left_paths)
         obs.observe("construction.right_paths", stats.right_paths)
     recorder = explain_active()
@@ -318,4 +334,5 @@ __all__ = [
     "ConstructionStats",
     "BuildResult",
     "build_index",
+    "map_horizon",
 ]

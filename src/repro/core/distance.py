@@ -7,21 +7,28 @@ edge insertions and deletions; this module implements:
 
 - a plain BFS build capped at a hop *horizon* (distances beyond the
   horizon are equivalent for every admissibility test, so they are
-  represented by a single ``FAR`` sentinel — the paper computes the map
-  "for vertices within k-1 hops" for the same reason);
+  represented by a single ``far`` sentinel — an index's maps use the
+  paper's horizon ``k - 1``, computing the map "for vertices within
+  k-1 hops");
 - :meth:`DistanceMap.relax_insert` — the paper's Algorithm 3: after an
   edge arrives, decreases spread from its head in BFS order (Theorem 5);
 - :meth:`DistanceMap.tighten_delete` — the paper's Algorithm 5: after an
-  edge expires, the affected set is identified in increasing-distance
+  edge expires, the affected set is classified in increasing-distance
   order (so a vertex is classified only after all of its potential
   shortest-path parents) and then re-settled with a bucket-ordered
   unit-weight Dijkstra from the unaffected boundary.
 
+:meth:`DistanceMap.relaxes` and :meth:`DistanceMap.tightens` are the two
+repairs' early exits on their own: they read the table at the updated
+edge's ids and say whether any distance moves, so a caller can settle
+an update that moves nothing without calling the repair.
+
 A map *is* a one-byte-per-vertex table indexed by the graph's interned
 vertex ids (``far`` marks a vertex beyond the horizon), and the build
-and both repairs walk the view's ``int_adjacency()`` id arrays; vertex
-labels appear only at the API boundary.  A ``Dist_t`` map is simply a
-``DistanceMap`` built over the graph's reverse view.
+and both repairs walk the view's ``int_adjacency()`` id arrays, keeping
+all of their state in the table; vertex labels appear only at the API
+boundary.  A ``Dist_t`` map is simply a ``DistanceMap`` built over the
+graph's reverse view.
 """
 
 from __future__ import annotations
@@ -179,28 +186,58 @@ class DistanceMap:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def relaxes(self, uid: int, vid: int) -> bool:
+        """Whether inserting edge ``(u, v)``, given by interned ids,
+        lowers any distance: :meth:`relax_insert`'s early exit.
+
+        A decrease spreads from ``v`` only (Theorem 5), so nothing moves
+        unless ``Dist[u] + 1`` is within the horizon and below
+        ``Dist[v]``.  Reads two table entries.
+        """
+        table = self.table()
+        start = table[uid] + 1
+        return start <= self.horizon and start < table[vid]
+
+    def tightens(self, uid: int, vid: int) -> bool:
+        """Whether deleting edge ``(u, v)``, given by interned ids and
+        already gone from the view, raises any distance:
+        :meth:`tighten_delete`'s early exits.
+
+        Something moves only if ``(u, v)`` was a shortest-path tree
+        edge into ``v`` within the horizon and ``v`` has no other
+        in-neighbor one hop closer to the source.
+        """
+        table = self.table()
+        old_v = table[vid]
+        if old_v > self.horizon or table[uid] + 1 != old_v:
+            return False
+        in_adjacency = self._view.int_adjacency(reverse=True)[0]
+        return old_v - 1 not in map(table.__getitem__, in_adjacency[vid])
+
     def relax_insert(self, u: Vertex, v: Vertex) -> Changes:
         """Repair the map after edge ``(u, v)`` was inserted into the view.
 
         Implements the paper's Algorithm 3: if the new edge shortens the
-        distance of ``v``, the decrease spreads from ``v`` in a tree form
-        (Theorem 5), so a BFS over strictly-improving vertices suffices.
-        The BFS queue holds non-decreasing distances, so a vertex's first
-        decrease is its last.
+        distance of ``v`` (:meth:`relaxes`), the decrease spreads from
+        ``v`` in a tree form (Theorem 5), so a BFS over
+        strictly-improving vertices suffices.  The BFS queue holds
+        non-decreasing distances, so a vertex's first decrease is its
+        last.
 
         Returns ``{vertex: (old_distance, new_distance)}`` for every
         vertex whose distance decreased (``old_distance`` may be
         :attr:`far`), in BFS order.
         """
         changed: Changes = {}
-        start = self.get(u) + 1
-        if start > self.horizon or start >= self.get(v):
+        ids = self._ids
+        uid, vid = ids[u], ids[v]
+        if not self.relaxes(uid, vid):
             return changed
-        table = self.table()
+        table = self._table
         adjacency = self._view.int_adjacency()[0]
         vertex_of = self._interner.vertices()
         horizon = self.horizon
-        vid = self._ids[v]
+        start = table[uid] + 1
         changed[v] = (table[vid], start)
         table[vid] = start
         queue = [vid]
@@ -224,130 +261,142 @@ class DistanceMap:
         """Repair the map after edge ``(u, v)`` was deleted from the view.
 
         Implements the paper's Algorithm 5 in its textbook-correct form
-        (unit-weight Ramalingam–Reps):
+        (unit-weight Ramalingam–Reps), with all of its state in the
+        table itself:
 
-        1. If ``(u, v)`` was not a shortest-path tree edge, nothing moves.
-        2. Otherwise identify the *affected set* — vertices all of whose
-           shortest-path parents are themselves affected — by processing
-           candidates in increasing old-distance order, which makes the
-           classification well-founded.
+        1. If ``(u, v)`` was not the last shortest-path tree edge into
+           ``v`` (:meth:`tightens`), nothing moves.
+        2. Otherwise classify the *affected set* — vertices all of whose
+           shortest-path parents are themselves affected — one old
+           distance at a time, which makes the classification
+           well-founded.  An affected vertex reads :attr:`far` from the
+           moment it is classified, so "has a live parent" is one table
+           read.
         3. Re-settle affected vertices by a bucket-ordered unit-weight
-           Dijkstra seeded from their unaffected in-neighbors; vertices
-           ending beyond the horizon fall out of the map (become far).
+           Dijkstra seeded from their in-neighbors, with the tentative
+           distances in the table; vertices ending beyond the horizon
+           stay far.
 
         Returns ``{vertex: (old_distance, new_distance)}`` for every
         vertex whose distance increased (``new_distance`` may be
-        :attr:`far`): settled vertices in settle order, then the ones
-        that fell beyond the horizon.
+        :attr:`far`), in classification order: by old distance, and
+        within one distance in the order the scan reached them.
         """
-        old_v = self.get(v)
-        if old_v > self.horizon or self.get(u) + 1 != old_v:
+        ids = self._ids
+        vid = ids[v]
+        if not self.tightens(ids[u], vid):
             return {}
-        table = self.table()
+        table = self._table
         out_adjacency = self._view.int_adjacency()[0]
         in_adjacency = self._view.int_adjacency(reverse=True)[0]
-        vid = self._ids[v]
-        # Fast path: v keeps its distance through another parent.
-        if any(table[x] + 1 == old_v for x in in_adjacency[vid]):
-            return {}
-        affected = self._affected_set(vid, table, out_adjacency, in_adjacency)
-        return self._resettle(affected, table, out_adjacency, in_adjacency)
+        old_v = table[vid]
+        levels = self._classify(vid, table, out_adjacency, in_adjacency)
+        self._resettle(old_v, levels, table, out_adjacency, in_adjacency)
+        vertex_of = self._interner.vertices()
+        changed: Changes = {}
+        for old, level in enumerate(levels, old_v):
+            for w in level:
+                changed[vertex_of[w]] = (old, table[w])
+        return changed
 
-    def _affected_set(
+    def _classify(
         self,
         vid: int,
         table: bytearray,
         out_adjacency: Sequence[Sequence[int]],
         in_adjacency: Sequence[Sequence[int]],
-    ) -> Set[int]:
-        """Phase 1: ids of the vertices whose distance must increase.
+    ) -> List[List[int]]:
+        """Phase 1: the affected ids, one list per old distance from
+        ``table[vid]`` up, each marked far as it is classified.
 
-        Candidates are explored along shortest-path tree edges and
-        classified one old-distance level at a time: a candidate at
-        distance ``d`` is affected iff it has no unaffected in-neighbor
-        at ``d - 1``, and only affected vertices propagate candidates to
-        level ``d + 1``.  (When ``_affected_set`` is called, ``vid`` is
-        already known to have lost all of its parents.)
+        A vertex at old distance ``d`` is a candidate when an affected
+        vertex at ``d - 1`` points at it, and it is affected iff no
+        in-neighbor still reads ``d - 1``: affected vertices at ``d - 1``
+        already read far, so any in-neighbor reading ``d - 1`` is a live
+        shortest-path parent.  (``vid`` is already known to have lost
+        all of its parents.)
         """
+        far = self.far
         horizon = self.horizon
-        affected: Set[int] = {vid}
-        seen: Set[int] = {vid}
-        level = [vid]
         d = table[vid]
+        table[vid] = far
+        level = [vid]
+        levels = [level]
         # Children of a vertex at the horizon sit beyond it (far already).
-        while level and d < horizon:
+        while d < horizon:
             parent_d = d
             d += 1
-            candidates: List[int] = []
+            affected: List[int] = []
             for w in level:
                 for y in out_adjacency[w]:
-                    if table[y] == d and y not in seen:
-                        seen.add(y)
-                        candidates.append(y)
-            level = []
-            for y in candidates:
-                for x in in_adjacency[y]:
-                    if table[x] == parent_d and x not in affected:
-                        break  # a live shortest-path parent
-                else:
-                    affected.add(y)
-                    level.append(y)
-        return affected
+                    if table[y] == d and parent_d not in map(
+                        table.__getitem__, in_adjacency[y]
+                    ):
+                        table[y] = far
+                        affected.append(y)
+            if not affected:
+                break
+            levels.append(affected)
+            level = affected
+        return levels
 
     def _resettle(
         self,
-        affected: Set[int],
+        old_v: int,
+        levels: List[List[int]],
         table: bytearray,
         out_adjacency: Sequence[Sequence[int]],
         in_adjacency: Sequence[Sequence[int]],
-    ) -> Changes:
-        """Phase 2: bucket Dijkstra over the affected set."""
+    ) -> None:
+        """Phase 2: bucket Dijkstra over the affected ids, which all
+        read far when it starts (``levels[i]`` held ``old_v + i``).
+
+        Every value written is the length of a real walk from the
+        source, so it bounds the true distance from above; seeding from
+        an in-neighbor that already holds a tentative value is therefore
+        sound.  An unaffected vertex never reads more than a walk through
+        an affected one, so ``table[y] > d + 1`` picks exactly the
+        unsettled affected vertices that ``d + 1`` improves.  Each
+        push lowers a value, so a vertex sits in a bucket at most once,
+        and one popped while still reading that bucket's distance is
+        settled.  An affected vertex ends at least one hop farther than
+        it was, so the ones that were at the horizon stay far unseeded.
+        """
         far = self.far
         horizon = self.horizon
-        old: Dict[int, int] = {w: table[w] for w in affected}
-        tentative: Dict[int, int] = {}
         buckets: Dict[int, List[int]] = {}
-        for w in affected:
-            best = far
-            for x in in_adjacency[w]:
-                if x not in affected:
-                    dx = table[x] + 1
-                    if dx < best:
-                        best = dx
-            if best <= horizon:
-                tentative[w] = best
-                buckets.setdefault(best, []).append(w)
-
-        vertex_of = self._interner.vertices()
-        changed: Changes = {}
-        settled: Set[int] = set()
-        for d in range(0, horizon + 1):
-            bucket = buckets.pop(d, None)
+        for old, level in enumerate(levels, old_v):
+            if old >= horizon:
+                break
+            for w in level:
+                best = min(
+                    map(table.__getitem__, in_adjacency[w]), default=far
+                )
+                if best < horizon:
+                    best += 1
+                    table[w] = best
+                    bucket = buckets.get(best)
+                    if bucket is None:
+                        buckets[best] = [w]
+                    else:
+                        bucket.append(w)
+        # A vertex settled at the horizon relaxes nothing.
+        for d in range(1, horizon):
+            bucket = buckets.get(d)
             if bucket is None:
                 continue
             nd = d + 1
             for w in bucket:
-                if w in settled or tentative[w] != d:
-                    continue
-                settled.add(w)
-                table[w] = d
-                if d != old[w]:
-                    changed[vertex_of[w]] = (old[w], d)
-                if nd > horizon:
-                    continue
+                if table[w] != d:
+                    continue  # lowered since it was queued
                 for y in out_adjacency[w]:
-                    if (
-                        y in affected
-                        and y not in settled
-                        and nd < tentative.get(y, far)
-                    ):
-                        tentative[y] = nd
-                        buckets.setdefault(nd, []).append(y)
-        for w in affected:
-            if w not in settled:
-                table[w] = far
-                changed[vertex_of[w]] = (old[w], far)
-        return changed
+                    if table[y] > nd:
+                        table[y] = nd
+                        later = buckets.get(nd)
+                        if later is None:
+                            buckets[nd] = [y]
+                        else:
+                            later.append(y)
 
     # ------------------------------------------------------------------
     # Verification helpers (used by tests)
@@ -382,7 +431,11 @@ def induced_vertices(dist_s: DistanceMap, dist_t: DistanceMap, k: int) -> Set[Ve
 
     ``{v : Dist_s[v] + Dist_t[v] <= k}`` — every k-st path lies entirely
     within the subgraph induced by this set.  Both maps must be over
-    views of one graph (they share its interner).
+    views of one graph (they share its interner) and have a horizon of
+    at least ``k``: under a smaller horizon ``far`` reads at most ``k``,
+    so an endpoint would count ``s`` (or ``t``) when the other endpoint
+    is more than ``k`` hops away.  An index's own maps have horizon
+    ``k - 1``; build horizon-``k`` maps to call this.
     """
     interner = dist_s.interner
     if dist_t.interner is not interner:

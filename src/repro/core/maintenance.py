@@ -36,13 +36,24 @@ enumeration ran on the intact index, matching the paper's "keep the
 paths that should be removed and delete them after finishing the update
 enumeration".
 
-**The relevance gate.**  Next to map repair, both repairs evaluate the
-paper's test ``Dist_s[u] + 1 + Dist_t[v] <= k``.  When it fails, only
-the distance maps are repaired: no partial path can traverse
-``(u, v)`` or change admissibility through it (DESIGN.md §3 has the
-proof), so the index is left untouched and the record says so
-(``relevant=False``).  Toggling ``(u, v)`` moves neither term, so the
-test reads the same before and after map repair.
+**The relevance gate.**  Before map repair, both repairs evaluate the
+paper's test ``Dist_s[u] + 1 + Dist_t[v] <= k`` on the tables at the
+edge's interned ids.  When it fails, only the distance maps are
+repaired: no partial path can traverse ``(u, v)`` or change
+admissibility through it (DESIGN.md §3 has the proof), so the index is
+left untouched and the record says so (``relevant=False``).  Toggling
+``(u, v)`` moves neither term, so the test reads the same before and
+after map repair.
+
+**Only what can change is paid for** (DESIGN.md §3).  Each map's
+repair runs only when its early exit
+(:meth:`~repro.core.distance.DistanceMap.relaxes` /
+:meth:`~repro.core.distance.DistanceMap.tightens`) says a distance
+moves, so a *quiet* pair-update — gated out, no map entry moved —
+reads a few table entries and allocates no path buckets.  Admissibility
+repair starts no DFS at a vertex whose other-side distance already
+exceeds the length budget, and inadmissibility marking skips the same
+vertices, whose paths the edge-using marks already hold.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ from typing import Dict, List, Tuple
 from repro import obs
 from repro.obs.explain import active as explain_active
 from repro.core.distance import DistanceMap
-from repro.core.index import PartialPathIndex, PathBuckets
+from repro.core.index import Bucket, PartialPathIndex, PathBuckets
 from repro.core.paths import Path
 from repro.graph.digraph import DynamicDiGraph, Vertex
 
@@ -68,7 +79,8 @@ class UpdateRecord:
     the length-1 path ``(s, t)``; ``changed`` is False when the update
     was a no-op (edge already present / already absent).  ``relevant``
     is False when the relevance test failed: only the distance maps
-    were repaired, the deltas are empty and the index is untouched.
+    were repaired and the index is untouched; the deltas are then one
+    empty, read-only ``PathBuckets`` that all such records share.
     """
 
     insert: bool
@@ -86,6 +98,26 @@ class UpdateRecord:
     def delta_partial_paths(self) -> int:
         """Number of changed partial paths (|LP'| + |RP'|)."""
         return len(self.left_delta) + len(self.right_delta)
+
+
+class _NoDelta(PathBuckets):
+    """The empty delta that every untouched record shares; writes raise."""
+
+    __slots__ = ()
+
+    def add(self, vertex: Vertex, path: Path, mask: int) -> bool:
+        raise TypeError("an untouched update's delta is read-only")
+
+    def add_level(
+        self, length: int, bucket: Bucket, masks: Dict[Path, int]
+    ) -> None:
+        raise TypeError("an untouched update's delta is read-only")
+
+    def remove(self, vertex: Vertex, path: Path) -> bool:
+        raise TypeError("an untouched update's delta is read-only")
+
+
+_NO_DELTA = _NoDelta()
 
 
 class IndexMaintainer:
@@ -112,6 +144,8 @@ class IndexMaintainer:
         self.s = index.s
         self.t = index.t
         self.k = index.k
+        # Both maps index their tables by the graph's interned ids.
+        self._ids = dist_s.interner.ids()
 
     # ==================================================================
     # Insertion
@@ -129,26 +163,32 @@ class IndexMaintainer:
         when several maintainers share one graph (multi-query
         monitoring) and the edge was inserted by an earlier one.
         """
-        record = UpdateRecord(insert=True, changed=False)
         if graph_already_updated:
             if not self.graph.has_edge(u, v):
                 raise ValueError(f"edge ({u!r}, {v!r}) is not in the graph")
         elif not self.graph.add_edge(u, v):
-            return record
-        record.changed = True
-        if u == v:
-            return record  # self-loops never occur in simple paths
-        if u == self.s and v == self.t and self.k >= 1:
-            self.index.direct_edge = True
-            record.direct_changed = True
-
-        changed_s = self.dist_s.relax_insert(u, v)
-        changed_t = self.dist_t.relax_insert(v, u)
+            return UpdateRecord(insert=True, changed=False)
+        if u == v:  # self-loops never occur in simple paths
+            return UpdateRecord(insert=True, changed=True)
+        uid, vid = self._ids[u], self._ids[v]
+        record = self._record(True, uid, vid)
+        dist_s, dist_t = self.dist_s, self.dist_t
+        # A map whose early exit holds moves nothing: skip its repair.
+        changed_s = (
+            dist_s.relax_insert(u, v) if dist_s.relaxes(uid, vid) else {}
+        )
+        changed_t = (
+            dist_t.relax_insert(v, u) if dist_t.relaxes(vid, uid) else {}
+        )
         record.relaxed_s = len(changed_s)
         record.relaxed_t = len(changed_t)
         obs.incr("maintenance.relaxed", record.relaxed_s + record.relaxed_t)
-        if not self._relevant(u, v):
-            return self._untouched(record)
+        if not record.relevant:
+            obs.incr("maintenance.untouched")
+            return record
+        if u == self.s and v == self.t and self.k >= 1:
+            self.index.direct_edge = True
+            record.direct_changed = True
         if self.k < 2:
             return record
 
@@ -177,13 +217,20 @@ class IndexMaintainer:
     def _repair_right(
         self, changed_s: Dict[Vertex, Tuple[int, int]], delta: PathBuckets
     ) -> None:
-        """Add RP paths that became admissible because Dist_s decreased."""
+        """Add RP paths that became admissible because Dist_s decreased.
+
+        An RP at ``w`` is a ``w ⤳ t`` path, so none of length at most
+        ``hi`` exists when ``Dist_t[w] > hi``: such a start is skipped
+        (DESIGN.md §3).
+        """
         k, r = self.k, self.index.plan.r
+        dist_t = self.dist_t.table()
+        ids = self._ids
         for w, (old, new) in changed_s.items():
-            if w == self.s or w == self.t:
+            hi = min(r, k - new)
+            if dist_t[ids[w]] > hi or w == self.s or w == self.t:
                 continue
             lo = max(1, k - old + 1)
-            hi = min(r, k - new)
             if lo > hi:
                 continue
             # Most starts find no path: masking only the paths written
@@ -195,13 +242,16 @@ class IndexMaintainer:
     def _repair_left(
         self, changed_t: Dict[Vertex, Tuple[int, int]], delta: PathBuckets
     ) -> None:
-        """Add LP paths that became admissible because Dist_t decreased."""
+        """Add LP paths that became admissible because Dist_t decreased
+        (mirror of :meth:`_repair_right`: skip ``Dist_s[w] > hi``)."""
         k, l = self.k, self.index.plan.l
+        dist_s = self.dist_s.table()
+        ids = self._ids
         for w, (old, new) in changed_t.items():
-            if w == self.s or w == self.t:
+            hi = min(l, k - new)
+            if dist_s[ids[w]] > hi or w == self.s or w == self.t:
                 continue
             lo = max(1, k - old + 1)
-            hi = min(l, k - new)
             if lo > hi:
                 continue
             for path in self._backward_paths_from_s(w, lo, hi):
@@ -362,23 +412,22 @@ class IndexMaintainer:
     # ==================================================================
     # The relevance gate
     # ==================================================================
-    def _relevant(self, u: Vertex, v: Vertex) -> bool:
-        """The paper's test ``Dist_s[u] + 1 + Dist_t[v] <= k``.
+    def _record(self, insert: bool, uid: int, vid: int) -> UpdateRecord:
+        """The record of a changed update of edge ``(uid, vid)`` (by
+        interned ids), gated by the paper's test
+        ``Dist_s[u] + 1 + Dist_t[v] <= k``.
 
-        When it fails no partial path of the index can traverse
-        ``(u, v)`` or change admissibility through it.  Toggling
-        ``(u, v)`` changes neither ``Dist_s[u]`` (a shortest ``s -> u``
-        walk never leaves ``u``) nor ``Dist_t[v]`` (a shortest
-        ``v -> t`` walk never enters ``v``), so the result is the same
-        before and after map repair.
+        When the test fails no partial path of the index can traverse
+        ``(u, v)`` or change admissibility through it, so the record is
+        ``relevant=False`` and shares the read-only empty deltas.
+        Toggling ``(u, v)`` changes neither ``Dist_s[u]`` (a shortest
+        ``s -> u`` walk never leaves ``u``) nor ``Dist_t[v]`` (a
+        shortest ``v -> t`` walk never enters ``v``), so the test reads
+        the same before and after map repair.
         """
-        return self.dist_s.get(u) + 1 + self.dist_t.get(v) <= self.k
-
-    def _untouched(self, record: UpdateRecord) -> UpdateRecord:
-        """Close the record of an update whose maps alone were repaired."""
-        record.relevant = False
-        obs.incr("maintenance.untouched")
-        return record
+        if self.dist_s.table()[uid] + 1 + self.dist_t.table()[vid] <= self.k:
+            return UpdateRecord(insert, True)
+        return UpdateRecord(insert, True, False, _NO_DELTA, _NO_DELTA)
 
     # ==================================================================
     # Deletion
@@ -395,33 +444,39 @@ class IndexMaintainer:
         ``graph_already_updated=True`` skips the graph mutation (shared
         graph, edge already removed by an earlier maintainer).
         """
-        record = UpdateRecord(insert=False, changed=False)
         if graph_already_updated:
             if self.graph.has_edge(u, v):
                 raise ValueError(f"edge ({u!r}, {v!r}) is still in the graph")
         elif not self.graph.remove_edge(u, v):
-            return record
-        record.changed = True
-        if u == v:
-            return record  # self-loops never occur in simple paths
-        if u == self.s and v == self.t and self.index.direct_edge:
-            record.direct_changed = True
-
+            return UpdateRecord(insert=False, changed=False)
+        if u == v:  # self-loops never occur in simple paths
+            return UpdateRecord(insert=False, changed=True)
+        uid, vid = self._ids[u], self._ids[v]
         # The test reads the same before the maps are repaired as after.
-        relevant = self._relevant(u, v)
-        if relevant and self.k >= 2:
-            self._mark_edge_using_left(u, v, record.left_delta)
-            self._mark_edge_using_right(u, v, record.right_delta)
+        record = self._record(False, uid, vid)
+        relevant = record.relevant
+        if relevant:
+            if u == self.s and v == self.t and self.index.direct_edge:
+                record.direct_changed = True
+            if self.k >= 2:
+                self._mark_edge_using_left(u, v, record.left_delta)
+                self._mark_edge_using_right(u, v, record.right_delta)
 
-        changed_s = self.dist_s.tighten_delete(u, v)
-        changed_t = self.dist_t.tighten_delete(v, u)
+        dist_s, dist_t = self.dist_s, self.dist_t
+        changed_s = (
+            dist_s.tighten_delete(u, v) if dist_s.tightens(uid, vid) else {}
+        )
+        changed_t = (
+            dist_t.tighten_delete(v, u) if dist_t.tightens(vid, uid) else {}
+        )
         record.tightened_s = len(changed_s)
         record.tightened_t = len(changed_t)
         obs.incr(
             "maintenance.tightened", record.tightened_s + record.tightened_t
         )
         if not relevant:
-            return self._untouched(record)
+            obs.incr("maintenance.untouched")
+            return record
 
         if self.k >= 2:
             self._mark_inadmissible_right(changed_s, record.right_delta)
@@ -528,28 +583,42 @@ class IndexMaintainer:
     def _mark_inadmissible_right(
         self, changed_s: Dict[Vertex, Tuple[int, int]], removed: PathBuckets
     ) -> None:
-        """Mark RP buckets whose lengths stopped being admissible."""
+        """Mark RP buckets whose lengths stopped being admissible.
+
+        A stored RP at ``w`` shorter than the tightened ``Dist_t[w]``
+        cannot survive the deletion (it would bound ``Dist_t[w]``), so
+        it traverses ``(u, v)`` and is marked already: when
+        ``Dist_t[w] > hi`` there is nothing left to mark (DESIGN.md §3).
+        """
         k, r = self.k, self.index.plan.r
         right = self.index.right
         masks = right.masks()
+        dist_t = self.dist_t.table()
+        ids = self._ids
         for w, (old, new) in changed_s.items():
-            lo = max(1, k - new + 1)
             hi = min(r, k - old)
-            for j in range(lo, hi + 1):
+            if dist_t[ids[w]] > hi:
+                continue
+            for j in range(max(1, k - new + 1), hi + 1):
                 for path in right.at(w, j):
                     removed.add(w, path, masks[path])
 
     def _mark_inadmissible_left(
         self, changed_t: Dict[Vertex, Tuple[int, int]], removed: PathBuckets
     ) -> None:
-        """Mark LP buckets whose lengths stopped being admissible."""
+        """Mark LP buckets whose lengths stopped being admissible
+        (mirror of :meth:`_mark_inadmissible_right`: skip
+        ``Dist_s[w] > hi``)."""
         k, l = self.k, self.index.plan.l
         left = self.index.left
         masks = left.masks()
+        dist_s = self.dist_s.table()
+        ids = self._ids
         for w, (old, new) in changed_t.items():
-            lo = max(1, k - new + 1)
             hi = min(l, k - old)
-            for i in range(lo, hi + 1):
+            if dist_s[ids[w]] > hi:
+                continue
+            for i in range(max(1, k - new + 1), hi + 1):
                 for path in left.at(w, i):
                     removed.add(w, path, masks[path])
 

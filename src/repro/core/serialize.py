@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from typing import Union
 
+from repro.core.construction import map_horizon
 from repro.core.distance import DistanceMap
 from repro.core.enumerator import CpeEnumerator
 from repro.core.index import PartialPathIndex
@@ -69,8 +70,9 @@ def restore(state: dict) -> CpeEnumerator:
         index.add_left(tuple(raw))  # repro: noqa[R001]
     for raw in state["right"]:
         index.add_right(tuple(raw))  # repro: noqa[R001]
-    dist_s = DistanceMap(graph, s, horizon=k)
-    dist_t = DistanceMap(graph.reverse_view(), t, horizon=k)
+    horizon = map_horizon(k)
+    dist_s = DistanceMap(graph, s, horizon=horizon)
+    dist_t = DistanceMap(graph.reverse_view(), t, horizon=horizon)
     return CpeEnumerator.from_parts(graph, index, dist_s, dist_t)
 
 

@@ -255,10 +255,12 @@ class IndexCache:
     def observe_all(self, update: EdgeUpdate) -> Dict[CacheKey, UpdateResult]:
         """Repair every cached index for an already-applied graph update.
 
-        Entries whose index actually changed are re-measured (an update
-        can grow an entry past the budget), then LRU eviction restores
-        the budget.  Recency is *not* touched: repairing an index is
-        bookkeeping, not use.
+        Entries whose index the update changed are re-measured (an
+        update can grow an entry past the budget), then LRU eviction
+        restores the budget.  An update that failed an entry's relevance
+        test repaired only its distance maps, which are not charged, so
+        that entry keeps its size.  Recency is *not* touched: repairing
+        an index is bookkeeping, not use.
         """
         results: Dict[CacheKey, UpdateResult] = {}
         resized = False
@@ -266,7 +268,8 @@ class IndexCache:
             entry = self._entries[key]
             result = entry.observe(update)
             results[key] = result
-            if result.record is None or result.record.changed:
+            record = result.record
+            if record is None or (record.changed and record.relevant):
                 size = estimated_entry_bytes(entry)
                 self._current_bytes += size - self._sizes[key]
                 self._sizes[key] = size

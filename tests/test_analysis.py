@@ -890,39 +890,24 @@ def test_every_rule_has_code_name_description():
 # The repo itself must lint clean (this is the CI gate)
 # ----------------------------------------------------------------------
 def test_repo_src_lints_clean():
-    from repro.analysis import apply_baseline, load_baseline
-
     report = run_lint([str(ROOT / "src")])
-    baseline = load_baseline(ROOT / "analysis-baseline.json")
-    result = apply_baseline(report.findings, baseline, ROOT)
-    assert result.new == (), render_text(report)
+    assert report.findings == (), render_text(report)
     assert report.files_scanned > 50
 
 
-def test_repo_lints_clean_with_baseline_over_full_surface():
-    """The CI gate: src/ benchmarks/ examples/ minus the frozen set."""
-    from repro.analysis import apply_baseline, load_baseline
-
+def test_repo_lints_clean_over_full_surface():
+    """The CI gate: src/ benchmarks/ examples/ have no finding."""
     report = run_lint(
         [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT / "examples")]
     )
-    baseline = load_baseline(ROOT / "analysis-baseline.json")
-    result = apply_baseline(report.findings, baseline, ROOT)
-    assert result.new == (), "\n".join(f.render() for f in result.new)
-    # every frozen entry must still exist — cleanup must shrink the file
-    assert result.stale == (), f"stale baseline entries: {result.stale}"
+    assert report.findings == (), "\n".join(f.render() for f in report.findings)
 
 
 def test_cli_lint_exits_zero_on_src(capsys):
     from repro.cli import main
 
-    assert main([
-        "lint", str(ROOT / "src"),
-        "--baseline", str(ROOT / "analysis-baseline.json"),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "0 findings" in out
-    assert "frozen by the baseline" not in out
+    assert main(["lint", str(ROOT / "src")]) == 0
+    assert "0 findings" in capsys.readouterr().out
 
 
 def test_cli_lint_exit_codes(tmp_path, capsys):

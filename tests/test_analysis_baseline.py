@@ -1,43 +1,22 @@
-"""Baseline ratchet, SARIF output, and golden (stable) reports.
+"""SARIF output, golden (stable) reports and the lint CLI's flags.
 
-The baseline freezes pre-existing findings by fingerprint — rule code,
-repo-relative path, stripped line content — so CI fails only on *new*
-findings while the frozen set ratchets downward.  The SARIF document
-is what CI uploads to GitHub code scanning.  Both, plus the text/JSON
-reporters under ``REPRO_LINT_STABLE=1``, must be byte-deterministic.
+The SARIF document is what CI uploads to GitHub code scanning.  It and
+the text/JSON reporters under ``REPRO_LINT_STABLE=1`` must be
+byte-deterministic.  Inline ``# repro: noqa[RULE]`` is the only
+suppression: there is no findings baseline to freeze known findings.
 """
 
 import json
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import render_json, render_text, run_lint
-from repro.analysis.baseline import (
-    SCHEMA,
-    BaselineError,
-    apply_baseline,
-    fingerprint_counts,
-    load_baseline,
-    render_baseline,
-    write_baseline,
-)
 from repro.analysis.reporters import SARIF_VERSION, render_sarif
-
-ROOT = Path(__file__).parent.parent
 
 _BAD = textwrap.dedent(
     """\
     def collect(item, acc=[]):
-        acc.append(item)
-        return acc
-    """
-)
-
-_BAD_TWICE = _BAD + "\n\n" + textwrap.dedent(
-    """\
-    def gather(item, acc=[]):
         acc.append(item)
         return acc
     """
@@ -48,101 +27,6 @@ def _lint_file(tmp_path, source, name="mod.py"):
     target = tmp_path / name
     target.write_text(source, encoding="utf-8")
     return run_lint([str(target)], select=["R005"]), target
-
-
-# ----------------------------------------------------------------------
-# Baseline mechanics
-# ----------------------------------------------------------------------
-def test_baseline_round_trip_freezes_everything(tmp_path):
-    report, _ = _lint_file(tmp_path, _BAD)
-    assert report.findings
-    path = tmp_path / "baseline.json"
-    write_baseline(path, report.findings, tmp_path)
-    result = apply_baseline(
-        report.findings, load_baseline(path), tmp_path
-    )
-    assert result.ok
-    assert result.new == () and len(result.frozen) == len(report.findings)
-    assert result.stale == ()
-
-
-def test_baseline_lets_new_findings_through(tmp_path):
-    report, target = _lint_file(tmp_path, _BAD)
-    path = tmp_path / "baseline.json"
-    write_baseline(path, report.findings, tmp_path)
-
-    target.write_text(_BAD_TWICE, encoding="utf-8")
-    grown = run_lint([str(target)], select=["R005"])
-    result = apply_baseline(grown.findings, load_baseline(path), tmp_path)
-    assert len(result.frozen) == 1
-    assert len(result.new) == 1
-    assert "gather" in result.new[0].render() or result.new[0].line > 1
-
-
-def test_baseline_survives_line_renumbering(tmp_path):
-    report, target = _lint_file(tmp_path, _BAD)
-    path = tmp_path / "baseline.json"
-    write_baseline(path, report.findings, tmp_path)
-
-    # an unrelated edit above the finding must not un-freeze it
-    target.write_text("import os  # noqa\n\n\n" + _BAD, encoding="utf-8")
-    moved = run_lint([str(target)], select=["R005"])
-    assert moved.findings[0].line != report.findings[0].line
-    result = apply_baseline(moved.findings, load_baseline(path), tmp_path)
-    assert result.new == () and len(result.frozen) == 1
-
-
-def test_baseline_counts_identical_lines(tmp_path):
-    # two byte-identical violating lines -> one fingerprint, count 2
-    source = _BAD + "\n\n" + _BAD  # same text twice: same fingerprint
-    report, target = _lint_file(tmp_path, source)
-    counts = fingerprint_counts(report.findings, tmp_path)
-    assert list(counts.values()) == [2]
-
-    path = tmp_path / "baseline.json"
-    write_baseline(path, report.findings, tmp_path)
-    # a third identical copy exceeds the frozen count and is new
-    target.write_text(source + "\n\n" + _BAD, encoding="utf-8")
-    grown = run_lint([str(target)], select=["R005"])
-    result = apply_baseline(grown.findings, load_baseline(path), tmp_path)
-    assert len(result.frozen) == 2 and len(result.new) == 1
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    report, target = _lint_file(tmp_path, _BAD)
-    path = tmp_path / "baseline.json"
-    write_baseline(path, report.findings, tmp_path)
-
-    target.write_text("def collect(item, acc=None):\n    return acc\n",
-                      encoding="utf-8")
-    fixed = run_lint([str(target)], select=["R005"])
-    result = apply_baseline(fixed.findings, load_baseline(path), tmp_path)
-    assert result.new == () and result.frozen == ()
-    assert len(result.stale) == 1 and result.stale[0].startswith("R005::")
-
-
-def test_baseline_rejects_bad_files(tmp_path):
-    target = tmp_path / "baseline.json"
-    target.write_text("not json", encoding="utf-8")
-    with pytest.raises(BaselineError):
-        load_baseline(target)
-    target.write_text(json.dumps({"schema": "other/1", "entries": {}}),
-                      encoding="utf-8")
-    with pytest.raises(BaselineError):
-        load_baseline(target)
-    with pytest.raises(BaselineError):
-        load_baseline(tmp_path / "missing.json")
-
-
-def test_baseline_document_shape(tmp_path):
-    report, _ = _lint_file(tmp_path, _BAD)
-    document = json.loads(render_baseline(report.findings, tmp_path))
-    assert document["schema"] == SCHEMA
-    (key,) = document["entries"]
-    rule, rel, content = key.split("::", 2)
-    assert rule == "R005"
-    assert rel == "mod.py" and "/" not in rel
-    assert content == "def collect(item, acc=[]):"
 
 
 # ----------------------------------------------------------------------
@@ -166,24 +50,6 @@ def test_sarif_document_structure(tmp_path):
     assert location["region"]["startLine"] == 1
     assert location["region"]["startColumn"] >= 1
     assert "suppressions" not in result
-
-
-def test_sarif_marks_baseline_frozen_findings_suppressed(tmp_path):
-    import dataclasses
-
-    report, _ = _lint_file(tmp_path, _BAD)
-    path = tmp_path / "baseline.json"
-    write_baseline(path, report.findings, tmp_path)
-    result = apply_baseline(
-        report.findings, load_baseline(path), tmp_path
-    )
-    emptied = dataclasses.replace(report, findings=result.new)
-    payload = json.loads(
-        render_sarif(emptied, frozen=result.frozen, root=tmp_path)
-    )
-    (run,) = payload["runs"]
-    (suppressed,) = run["results"]
-    assert suppressed["suppressions"][0]["kind"] == "external"
 
 
 def test_sarif_levels(tmp_path):
@@ -224,7 +90,7 @@ def test_sarif_output_is_byte_stable(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# CLI: stable env, baseline flags, error handling
+# CLI: stable env, flags, error handling
 # ----------------------------------------------------------------------
 def test_cli_stable_env_hides_timings(tmp_path, capsys, monkeypatch):
     from repro.cli import main
@@ -255,45 +121,6 @@ def test_cli_select_bogus_is_a_clean_error(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
-def test_cli_baseline_flow(tmp_path, capsys, monkeypatch):
-    from repro.cli import main
-
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
-    target = tmp_path / "mod.py"
-    target.write_text(_BAD, encoding="utf-8")
-
-    # 1) without a baseline the finding fails the run
-    assert main(["lint", "--select", "R005", str(target)]) == 1
-    capsys.readouterr()
-
-    # 2) freeze it
-    assert main(["lint", "--select", "R005", "--update-baseline",
-                 str(target)]) == 0
-    out = capsys.readouterr().out
-    assert "baseline analysis-baseline.json updated" in out
-    assert (tmp_path / "analysis-baseline.json").exists()
-
-    # 3) frozen -> green
-    assert main(["lint", "--select", "R005",
-                 "--baseline", "analysis-baseline.json", str(target)]) == 0
-    out = capsys.readouterr().out
-    assert "frozen by the baseline" in out
-
-    # 4) a new finding still fails
-    target.write_text(_BAD_TWICE, encoding="utf-8")
-    assert main(["lint", "--select", "R005",
-                 "--baseline", "analysis-baseline.json", str(target)]) == 1
-    capsys.readouterr()
-
-    # 5) fixing everything reports the stale entries
-    target.write_text("X = 1\n", encoding="utf-8")
-    assert main(["lint", "--select", "R005",
-                 "--baseline", "analysis-baseline.json", str(target)]) == 0
-    captured = capsys.readouterr()
-    assert "stale baseline entry" in captured.err
-
-
 def test_cli_sarif_format(tmp_path, capsys):
     from repro.cli import main
 
@@ -319,7 +146,13 @@ def test_cli_no_unused_noqa(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_shipped_baseline_is_valid_and_minimal():
-    # Known findings are fixed, not frozen: the shipped file loads and
-    # holds no entries.
-    assert load_baseline(ROOT / "analysis-baseline.json") == {}
+def test_cli_has_no_baseline_flags(tmp_path, capsys):
+    from repro.cli import main
+
+    target = tmp_path / "mod.py"
+    target.write_text("X = 1\n", encoding="utf-8")
+    for flag in (["--baseline", "analysis-baseline.json"], ["--update-baseline"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *flag, str(target)])
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

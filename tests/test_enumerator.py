@@ -112,4 +112,3 @@ class TestIntrospection:
         cpe = CpeEnumerator(diamond, 0, 3, 3)
         stats = cpe.construction_stats
         assert stats.left_paths + stats.right_paths == cpe.memory_stats().path_count
-        assert stats.induced_size >= 2

@@ -277,6 +277,8 @@ class TestJoinEquivalence:
 
     def test_numpy_block_probe_matches_scalar(self, monkeypatch):
         pytest.importorskip("numpy")
+        # Run the probe wherever numpy imports, also under REPRO_NO_NUMPY.
+        monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
         # Graphs whose hub bucket reaches the block probe's threshold
         # unpatched; the forced pure fallback must emit identical paths
         # in identical order, and count the same.

@@ -213,6 +213,92 @@ def test_gated_monitor_is_exact_on_labels_that_are_not_ids(case):
                 assert cpe.index.right.as_dict() == right
 
 
+@st.composite
+def watched_streams(draw):
+    """2-4 watched pairs on at most 10 vertices with ``k <= 5``, and an
+    update stream that mixes random edges with repeated toggles of a
+    few hot edges (each toggle of a hot edge undoes the previous one)."""
+    n = draw(st.integers(4, 10))
+    vertex = st.integers(0, n - 1)
+    edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, max_size=3 * n))
+    k = draw(st.integers(1, 5))
+    pairs = draw(st.lists(edge, min_size=2, max_size=4, unique=True))
+    hot = draw(st.lists(edge, min_size=1, max_size=3))
+    stream = draw(st.lists(st.one_of(edge, st.sampled_from(hot)), max_size=16))
+    return n, edges, k, pairs, stream
+
+
+def capped_bfs(neighbors, source, cap):
+    """Hop distances from ``source`` up to ``cap`` hops, by plain BFS."""
+    dist = {source: 0}
+    frontier = [source]
+    for d in range(1, cap + 1):
+        reached = []
+        for w in frontier:
+            for y in neighbors(w):
+                if y not in dist:
+                    dist[y] = d
+                    reached.append(y)
+        frontier = reached
+    return dist
+
+
+@given(watched_streams())
+@settings(SETTINGS, max_examples=150)
+def test_every_pair_update_is_exact(case):
+    """After every step of a monitored stream: each map holds exactly
+    the distances of at most ``k - 1`` hops, each index equals a fresh
+    build, each delta equals brute force, and each pair-update that
+    moved no map entry and failed the relevance test is quiet."""
+    n, edges, k, pairs, stream = case
+    g = build(n, edges)
+    monitor = MultiPairMonitor(g, k)
+    for s, t in pairs:
+        monitor.watch(s, t)
+    for u, v in stream:
+        insert = not g.has_edge(u, v)
+        before = {}
+        for s, t in pairs:
+            cpe = monitor.enumerator_for(s, t)
+            before[(s, t)] = (
+                path_set(g, s, t, k),
+                dict(cpe.dist_s.known()),
+                dict(cpe.dist_t.known()),
+            )
+        results = monitor.apply(EdgeUpdate(u, v, insert))
+        for s, t in pairs:
+            cpe = monitor.enumerator_for(s, t)
+            old_paths, old_s, old_t = before[(s, t)]
+            dist_s = dict(cpe.dist_s.known())
+            dist_t = dict(cpe.dist_t.known())
+            assert dist_s == capped_bfs(g.out_neighbors, s, k - 1)
+            assert dist_t == capped_bfs(g.in_neighbors, t, k - 1)
+            fresh = build_index(g, s, t, k, forced_plan=cpe.plan)
+            assert cpe.index.left.as_dict() == fresh.index.left.as_dict()
+            assert cpe.index.right.as_dict() == fresh.index.right.as_dict()
+            assert cpe.index.direct_edge == fresh.index.direct_edge
+            new_paths = path_set(g, s, t, k)
+            result = results[(s, t)]
+            assert len(result.paths) == len(set(result.paths))
+            assert set(result.paths) == (
+                new_paths - old_paths if insert else old_paths - new_paths
+            )
+            # Beyond k - 1 hops a distance reads k; the test is the same
+            # before and after the update.
+            relevant = dist_s.get(u, k) + 1 + dist_t.get(v, k) <= k
+            record = result.record
+            assert record.changed and record.relevant == relevant
+            if not relevant and (old_s, old_t) == (dist_s, dist_t):
+                assert result.paths == []
+                assert (
+                    record.relaxed_s, record.relaxed_t,
+                    record.tightened_s, record.tightened_t,
+                ) == (0, 0, 0, 0)
+                assert len(record.left_delta) == len(record.right_delta) == 0
+                assert not record.direct_changed
+
+
 def recounted_stats(index):
     """``memory_stats()`` recomputed by walking every stored path."""
     left = list(index.left.paths())

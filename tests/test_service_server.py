@@ -7,6 +7,7 @@ deadline and admission rejections come back as structured protocol
 errors, never a crash or hang.
 """
 
+import functools
 import json
 import random
 import socket
@@ -28,6 +29,7 @@ from repro.service.protocol import (
     OverloadedError,
     UnknownOpError,
 )
+from repro.service import server as server_mod
 from repro.service.server import serve_in_thread
 from tests.conftest import make_random_graph
 
@@ -306,6 +308,66 @@ class TestDeadlineBurstDump:
         assert [p.name for p in tmp_path.iterdir()] == [target.name]
         bundle = json.loads(target.read_text(encoding="utf-8"))
         assert check_flight(bundle, reason="deadline-burst") == []
+
+
+def layered_graph(layers, width):
+    """Source 0, ``layers`` full layers of ``width`` vertices, target 1:
+    ``width ** layers`` paths of ``layers + 1`` hops."""
+    edges = []
+    previous = [0]
+    for layer in range(layers):
+        current = [2 + layer * width + i for i in range(width)]
+        edges += [(u, v) for u in previous for v in current]
+        previous = current
+    edges += [(u, 1) for u in previous]
+    return DynamicDiGraph(edges)
+
+
+class TestFaults:
+    def test_over_long_line_gets_bad_request_then_close(self, monkeypatch):
+        monkeypatch.setattr(
+            server_mod, "PathQueryServer",
+            functools.partial(server_mod.PathQueryServer, max_line_bytes=256),
+        )
+        graph = DynamicDiGraph([(0, 1), (1, 2)])
+        handle = serve_in_thread(PathQueryEngine(graph, default_k=2))
+        try:
+            with socket.create_connection(
+                (handle.host, handle.port), timeout=5
+            ) as sock:
+                fh = sock.makefile("rwb")
+                fh.write(b'{"op": "stats", "pad": "' + b"x" * 1024 + b'"}\n')
+                fh.flush()
+                reply = json.loads(fh.readline())
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "bad_request"
+                assert "256 bytes" in reply["error"]["message"]
+                # Framing is lost: the server closes the connection.
+                try:
+                    rest = fh.readline()
+                except ConnectionResetError:
+                    rest = b""
+                assert rest == b""
+            with ServiceClient(handle.host, handle.port) as client:
+                assert client.stats()["graph"]["edges"] == 2
+        finally:
+            handle.stop()
+
+    def test_client_gone_before_a_large_reply_is_read(self):
+        graph = layered_graph(layers=5, width=9)
+        expected = path_set(graph, 0, 1, 6)
+        assert len(expected) == 9 ** 5
+        handle = serve_in_thread(PathQueryEngine(graph.copy(), default_k=6))
+        try:
+            with socket.create_connection(
+                (handle.host, handle.port), timeout=5
+            ) as sock:
+                sock.sendall(b'{"id": 1, "op": "query", "s": 0, "t": 1}\n')
+            with ServiceClient(handle.host, handle.port) as client:
+                assert set(client.query(0, 1, 6)) == expected
+                assert client.stats()["graph"]["edges"] == graph.num_edges
+        finally:
+            handle.stop()
 
 
 class TestShutdown:
