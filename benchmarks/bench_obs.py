@@ -9,31 +9,28 @@ the *enabled* ratio — the budget docs/OBSERVABILITY.md promises is 5%
 (CI tolerance is configurable via ``REPRO_BENCH_OBS_TOLERANCE`` because
 sub-second workloads on shared runners are noisy).
 
-The core workload now also passes through the EXPLAIN hooks
-(``explain_active()`` checks in construction/enumeration/maintenance),
-so the first benchmark's disabled side bounds their off cost too.  The
-second benchmark drives the same graph through the service engine and
-compares the structured event log off vs on
+The second benchmark drives the same graph through the service engine
+and compares the structured event log off vs on
 (:mod:`repro.obs.events`) — bounding the *enabled* emission cost, which
 in turn bounds the disabled one-boolean path.
 
-The third benchmark bounds the always-on forensic plane: the same
-engine traffic with the flight recorder and the metrics time-series
-ring off vs on (:mod:`repro.obs.flight` / :mod:`repro.obs.timeseries`).
-The on side pays one deque append per span plus one lock-and-compare
-per request for the ring tick — the budget for leaving the recorder on
-in production is the same 5%.
+The third benchmark bounds the forensic plane a server runs with
+metrics on: the same engine traffic, metrics on in both runs, with the
+flight ring and the history ring removed vs installed
+(:mod:`repro.obs.flight` / :mod:`repro.obs.timeseries`; the history
+ring ticks every 0.25 s here).  The on side pays one deque append per
+span plus one lock-and-compare per request for the ring tick — the
+budget for leaving the rings on in production is the same 5%.
 
-The fourth benchmark gates what obs and EXPLAIN cost on the full join
-itself: ``enumerate_full_list`` paths/s with obs on, and under an
-EXPLAIN recorder, each divided by paths/s with both off.  Both read
-their per-pair counts off the production join's program, once per plan
-pair, so the ratios must stay at or above :data:`JOIN_FLOOR`.  The
-config is enumeration-heavy (WG 1.0, k=9, five top-1% hot pairs, seed
-7: 37,861 paths) because the per-pair recording is a fixed cost per
-query that needs thousands of paths to amortize.  Each query runs in
-the three modes back to back, and the gate takes the median over
-:data:`JOIN_ROUNDS` rounds of each round's paired ratio.
+The fourth benchmark gates what obs costs on the full join itself:
+``enumerate_full_list`` paths/s with obs on divided by paths/s with obs
+off.  Obs reads its per-pair counts off the production join's program,
+once per program step, so the ratio must stay at or above
+:data:`JOIN_FLOOR`.  The config is enumeration-heavy (WG 1.0, k=9, five
+top-1% hot pairs, seed 7: 37,861 paths) because the per-pair recording
+is a fixed cost per query that needs thousands of paths to amortize.
+Each query runs in both modes back to back, and the gate takes the
+median over :data:`JOIN_ROUNDS` rounds of each round's paired ratio.
 
 Runs are recorded under ``benchmarks/results/bench_obs.json``,
 ``benchmarks/results/bench_obs_events.json``,
@@ -52,7 +49,6 @@ from repro import obs
 from repro.core.enumeration import enumerate_full_list
 from repro.core.enumerator import CpeEnumerator
 from repro.graph import datasets
-from repro.obs.explain import recording
 from repro.workloads.queries import hot_queries
 from repro.workloads.updates import relevant_update_stream
 
@@ -62,10 +58,10 @@ TOLERANCE = float(os.environ.get("REPRO_BENCH_OBS_TOLERANCE", 1.25))
 
 REPEATS = int(os.environ.get("REPRO_BENCH_OBS_REPEATS", 5))
 
-#: Minimum join paths/s with obs on (or a recorder) over obs off.
+#: Minimum join paths/s with obs on over obs off.
 JOIN_FLOOR = 0.95
 
-#: Timed rounds of the join gate (each runs every query in all modes).
+#: Timed rounds of the join gate (each runs every query in both modes).
 JOIN_ROUNDS = 15
 
 
@@ -197,26 +193,27 @@ def bench_events_overhead_under_budget():
     )
 
 
-def _run_engine_recorder_once(
-    graph, queries, updates, k, flight_window, timeseries_interval
-) -> float:
-    """Engine traffic with the forensic plane configured as given.
+def _run_engine_rings_once(graph, queries, updates, k, rings) -> float:
+    """Engine traffic with the flight and history rings installed or not.
 
-    Mirrors production ticking: the server/worker loops call
+    Mirrors production ticking: the server calls
     ``timeseries.maybe_sample()`` once per handled request, so the
     measured cost includes the per-request decline path plus the
     periodic full samples.
     """
     from repro.obs import timeseries
+    from repro.obs.flight import DEFAULT_MAX_SPANS, DEFAULT_WINDOW
+    from repro.obs.timeseries import TimeSeriesRing
+    from repro.obs.trace import TraceBuffer
     from repro.service.engine import PathQueryEngine
 
     working = graph.copy()
-    engine = PathQueryEngine(
-        working,
-        default_k=k,
-        flight_window=flight_window,
-        timeseries_interval=timeseries_interval,
-    )
+    engine = PathQueryEngine(working, default_k=k)
+    if rings:
+        obs.set_trace_sink(
+            TraceBuffer(window=DEFAULT_WINDOW, max_spans=DEFAULT_MAX_SPANS)
+        )
+        timeseries.install(TimeSeriesRing(obs.registry(), interval=0.25))
     try:
         start = time.perf_counter()
         for _ in range(3):
@@ -233,15 +230,16 @@ def _run_engine_recorder_once(
             timeseries.maybe_sample()
         return time.perf_counter() - start
     finally:
-        engine.close()
+        obs.set_trace_sink(None)
+        timeseries.install(None)
 
 
 def bench_flight_overhead_under_budget():
-    """Flight recorder + time-series ring stay within the tolerance.
+    """Flight ring + history ring stay within the tolerance.
 
     Both sides run with metrics enabled, so the ratio isolates exactly
-    what the always-on forensic plane adds on top of ordinary
-    instrumentation: the span-ring append and the ring tick.
+    what the rings add on top of ordinary instrumentation: the
+    span-ring append and the ring tick.
     """
     graph, query, updates, config = _workload()
     queries = hot_queries(graph, 4, config.k, 0.05, seed=config.seed)
@@ -249,17 +247,17 @@ def bench_flight_overhead_under_budget():
     disabled_times = []
     enabled_times = []
     try:
-        _run_engine_recorder_once(  # warm-up
-            graph, queries, updates, config.k, 0.0, 0.0
+        _run_engine_rings_once(  # warm-up
+            graph, queries, updates, config.k, rings=False
         )
         for _ in range(REPEATS):
             obs.reset()
-            disabled_times.append(_run_engine_recorder_once(
-                graph, queries, updates, config.k, 0.0, 0.0
+            disabled_times.append(_run_engine_rings_once(
+                graph, queries, updates, config.k, rings=False
             ))
             obs.reset()
-            enabled_times.append(_run_engine_recorder_once(
-                graph, queries, updates, config.k, 30.0, 0.25
+            enabled_times.append(_run_engine_rings_once(
+                graph, queries, updates, config.k, rings=True
             ))
     finally:
         obs.set_enabled(previous_obs)
@@ -267,7 +265,7 @@ def bench_flight_overhead_under_budget():
     disabled = statistics.median(disabled_times)
     enabled = statistics.median(enabled_times)
     ratio = enabled / disabled
-    print(f"\nflight overhead: recorder off {disabled * 1e3:.2f} ms, "
+    print(f"\nflight overhead: rings off {disabled * 1e3:.2f} ms, "
           f"on {enabled * 1e3:.2f} ms, ratio {ratio:.3f} "
           f"(tolerance {TOLERANCE:.2f})")
     publish_json(
@@ -280,26 +278,22 @@ def bench_flight_overhead_under_budget():
         config=config,
     )
     assert ratio < TOLERANCE, (
-        f"flight-recorder overhead ratio {ratio:.3f} exceeds "
+        f"flight/history ring overhead ratio {ratio:.3f} exceeds "
         f"{TOLERANCE:.2f}"
     )
 
 
 def _time_join(index, mode: str) -> float:
-    """One ``enumerate_full_list`` call with obs off, obs on, or under an
-    EXPLAIN recorder (``mode`` "off" / "obs" / "explain")."""
+    """One ``enumerate_full_list`` call with obs off or on (``mode``
+    "off" / "obs")."""
     obs.set_enabled(mode == "obs")
     start = time.perf_counter()
-    if mode == "explain":
-        with recording():
-            enumerate_full_list(index)
-    else:
-        enumerate_full_list(index)
+    enumerate_full_list(index)
     return time.perf_counter() - start
 
 
 def bench_join_observed_at_production_speed():
-    """Join paths/s with obs on / a recorder stay >= JOIN_FLOOR of off."""
+    """Join paths/s with obs on stay >= JOIN_FLOOR of obs off."""
     config = _config(scale=1.0, k=9, num_queries=5)
     graph = datasets.load("WG", config.scale)
     queries = hot_queries(
@@ -307,14 +301,14 @@ def bench_join_observed_at_production_speed():
     )
     indexes = [CpeEnumerator(graph, q.s, q.t, q.k).index for q in queries]
     paths = sum(len(enumerate_full_list(index)) for index in indexes)
-    modes = ("off", "obs", "explain")
+    modes = ("off", "obs")
     rounds = {mode: [] for mode in modes}
     previous = obs.set_enabled(False)
     try:
         for round_no in range(JOIN_ROUNDS + 1):  # round 0 warms up
             spent = dict.fromkeys(modes, 0.0)
             for position, index in enumerate(indexes):
-                # Every query runs in all three modes back to back, in a
+                # Every query runs in both modes back to back, in a
                 # rotating order, so host drift and CPU steal on a shared
                 # runner hit the modes alike.
                 shift = (round_no + position) % len(modes)
@@ -330,17 +324,12 @@ def bench_join_observed_at_production_speed():
         for mode, times in rounds.items()
     }
     # Median over the timed rounds of each round's paired ratio: a
-    # round's three modes ran interleaved, so the ratio cancels drift.
-    obs_ratio, explain_ratio = [
-        statistics.median(
-            off / other
-            for off, other in zip(rounds["off"][1:], rounds[mode][1:])
-        )
-        for mode in ("obs", "explain")
-    ]
+    # round's two modes ran interleaved, so the ratio cancels drift.
+    obs_ratio = statistics.median(
+        off / on for off, on in zip(rounds["off"][1:], rounds["obs"][1:])
+    )
     print(f"\njoin paths/s ({paths} paths): off {rate['off']:,.0f}, "
-          f"obs {rate['obs']:,.0f} (ratio {obs_ratio:.3f}), "
-          f"explain {rate['explain']:,.0f} (ratio {explain_ratio:.3f}); "
+          f"obs {rate['obs']:,.0f} (ratio {obs_ratio:.3f}); "
           f"floor {JOIN_FLOOR:.2f}")
     publish_json(
         "bench_obs_join",
@@ -354,17 +343,11 @@ def bench_join_observed_at_production_speed():
             "join_obs_paths_ratio": metric(
                 obs_ratio, unit="ratio", direction="higher"
             ),
-            "join_explain_paths_ratio": metric(
-                explain_ratio, unit="ratio", direction="higher"
-            ),
         },
         config=config,
     )
     assert obs_ratio >= JOIN_FLOOR, (
         f"join with obs on runs at {obs_ratio:.3f} of obs off"
-    )
-    assert explain_ratio >= JOIN_FLOOR, (
-        f"join under an EXPLAIN recorder runs at {explain_ratio:.3f} of off"
     )
 
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Set off a deadline burst under ``repro serve`` and collect the dump.
 
-The CI flight-recorder smoke: start a real server subprocess with the
-flight recorder on, send a few real requests so the recorder has spans,
-then send enough ``query`` requests with ``deadline_ms: 0`` to trip the
-deadline-burst trigger — the server must write
+The CI flight-recorder smoke: start a real server subprocess with
+metrics on (which installs the flight ring), send a few real requests
+so the ring has spans, then send enough ``query`` requests with
+``deadline_ms: 0`` to trip the deadline-burst trigger — the server
+must write
 ``repro-flight-deadline-burst.json`` into ``--flight-dir``, and keep
 answering normally afterwards.
 
@@ -14,13 +15,14 @@ Usage::
 
 Prints the dump path on success (exit 0); exits 1 with a diagnostic if
 the server never comes up, a zero-deadline request is not refused, the
-server stops answering, or no dump appears.  Validate the dump itself
-with ``check_flight.py``.
+server stops answering, or no dump carrying spans appears.  Validate
+the dump itself with ``check_flight.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import signal
 import subprocess
 import sys
@@ -77,10 +79,8 @@ def main(argv: List[str]) -> int:
             sys.executable, "-m", "repro", "serve", "EP",
             "--scale", "0.1",
             "--port", str(args.port),
-            "--metrics", "--events", "--tracing",
-            "--flight-window", "30",
+            "--metrics", "--events",
             "--flight-dir", str(out_dir),
-            "--history-interval", "0.2",
             "--watch", "23:4",
         ],
         stdout=log,
@@ -89,7 +89,7 @@ def main(argv: List[str]) -> int:
     try:
         client = _connect(args.port, deadline)
         with client:
-            # Real traffic so the recorder has spans to dump.
+            # Real traffic so the flight ring has spans to dump.
             client.query(23, 4, 6)
             client.insert_edge(23, 4)
             client.delete_edge(23, 4)
@@ -107,10 +107,17 @@ def main(argv: List[str]) -> int:
                     return 1
             client.query(23, 4, 6)
 
-        while not dump_path.exists() and time.perf_counter() < deadline:
-            time.sleep(0.2)
-        if not dump_path.exists():
+        bundle = None
+        while bundle is None and time.perf_counter() < deadline:
+            try:
+                bundle = json.loads(dump_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):  # not there, or half written
+                time.sleep(0.2)
+        if bundle is None:
             print(f"FLIGHT SMOKE PROBLEM: no {BURST_DUMP} in {out_dir}")
+            return 1
+        if not any(proc.get("spans") for proc in bundle["processes"]):
+            print(f"FLIGHT SMOKE PROBLEM: {dump_path} carries no spans")
             return 1
         print(dump_path)
         return 0

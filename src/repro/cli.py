@@ -11,11 +11,11 @@ Commands:
 - ``serve`` — run the path-query service (newline-delimited JSON over
   TCP; see :mod:`repro.service`); ``--metrics`` turns on the
   :mod:`repro.obs` instrumentation and the ``metrics`` protocol op
-  then serves live JSON/Prometheus dumps; ``--tracing`` captures
-  spans as a Chrome trace (``trace`` op), the flight recorder and
-  time-series ring run by default (``--flight-window`` /
-  ``--history-interval``), a burst of deadline misses or ``SIGUSR2``
-  dumps a ``repro-flight/1`` bundle;
+  then serves live JSON/Prometheus dumps; with metrics on (``--metrics``
+  or ``REPRO_OBS=1``) the flight ring keeps the last 30 s of spans
+  (``trace`` op) and the history ring samples the metrics every second
+  (``history`` op); a burst of deadline misses or ``SIGUSR2`` dumps a
+  ``repro-flight/1`` bundle;
 - ``flight-dump`` — pull a ``repro-flight/1`` bundle (the server's last
   seconds of spans, events, metrics and time-series) from a running
   server and write it to a file;
@@ -24,7 +24,8 @@ Commands:
 - ``profile`` — run a small construction/enumeration/maintenance
   workload with :mod:`repro.obs` enabled and print the per-stage cost
   breakdown (see docs/OBSERVABILITY.md); ``--format json`` emits the
-  machine-readable ``repro-bench/1`` payload instead;
+  machine-readable ``repro-bench/1`` payload instead, ``--format
+  snapshot`` the raw metrics snapshot;
 - ``explain`` — per-query EXPLAIN/ANALYZE (:mod:`repro.obs.explain`):
   dynamic-cut decisions, Opt. 1 prune counters, bucket sizes and
   join-pair cardinalities, as text, JSON, or Chrome trace-event JSON
@@ -181,7 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--metrics", action="store_true",
         help="enable repro.obs instrumentation; clients can poll the "
-             "'metrics' op for JSON or Prometheus dumps",
+             "'metrics' op for JSON or Prometheus dumps, 'trace' for "
+             "the last 30 s of spans and 'history' for the per-second "
+             "metric samples",
     )
     sv.add_argument(
         "--events", action="store_true",
@@ -189,26 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "'events' op (and 'repro top' shows the tail)",
     )
     sv.add_argument(
-        "--tracing", action="store_true",
-        help="capture spans (poll the 'trace' op for Chrome trace JSON)",
-    )
-    sv.add_argument(
-        "--flight-window", type=float, default=30.0, metavar="S",
-        help="flight-recorder window in seconds — the last S seconds "
-             "of spans/events/metrics are dumpable on deadline "
-             "bursts, SIGUSR2, the 'flight' op, or "
-             "'repro flight-dump' (0 disables; default: 30)",
-    )
-    sv.add_argument(
         "--flight-dir", default=".", metavar="DIR",
-        help="directory spontaneous flight dumps are written to "
-             "(default: current directory)",
-    )
-    sv.add_argument(
-        "--history-interval", type=float, default=1.0, metavar="S",
-        help="metrics time-series sampling tick in seconds, behind "
-             "the 'history' op and 'repro top' sparklines "
-             "(0 disables; default: 1)",
+        help="directory spontaneous flight dumps (deadline bursts, "
+             "SIGUSR2) are written to (default: current directory)",
     )
 
     fd = sub.add_parser(
@@ -261,11 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--updates", type=int, default=40,
                     help="result-relevant updates replayed on the first pair")
     pf.add_argument("--seed", type=int, default=7)
-    pf.add_argument("--json", action="store_true",
-                    help="emit the raw metrics snapshot as JSON")
     pf.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="'json' emits the repro-bench/1 per-stage payload "
+        "--format", choices=("text", "json", "snapshot"), default="text",
+        help="'json' emits the repro-bench/1 per-stage payload, "
+             "'snapshot' the raw metrics snapshot as JSON "
              "(default: text table)",
     )
 
@@ -405,7 +390,9 @@ def _cmd_serve(args) -> int:
     import signal
     from pathlib import Path
 
+    from repro import obs
     from repro.graph import datasets
+    from repro.obs import events, flight, timeseries
     from repro.service.engine import PathQueryEngine
     from repro.service.server import PathQueryServer
 
@@ -415,13 +402,16 @@ def _cmd_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.metrics:
-        from repro import obs
-
         obs.enable()
         print("metrics: repro.obs enabled (poll the 'metrics' op)")
+    if obs.enabled():  # --metrics or REPRO_OBS=1
+        flight.install(obs.registry())
+        print(f"flight: recording the last {flight.DEFAULT_WINDOW:g}s of "
+              "spans (poll the 'trace' op; dump via SIGUSR2, the "
+              "'flight' op, or 'repro flight-dump')")
+        print("history: metrics sampled every "
+              f"{timeseries.DEFAULT_INTERVAL:g}s (poll the 'history' op)")
     if args.events:
-        from repro.obs import events
-
         events.set_enabled(True)
         print("events: structured event log enabled (poll the 'events' op)")
     graph = datasets.load(args.dataset, args.scale)
@@ -429,9 +419,6 @@ def _cmd_serve(args) -> int:
         graph,
         default_k=args.k,
         cache_budget_bytes=args.cache_budget,
-        tracing=args.tracing,
-        flight_window=max(args.flight_window, 0.0),
-        timeseries_interval=max(args.history_interval, 0.0),
     )
     flight_dir = Path(args.flight_dir)
 
@@ -444,16 +431,6 @@ def _cmd_serve(args) -> int:
         print(f"flight: {reason} dump written to {target}")
 
     engine.on_flight_dump = _write_flight
-    if args.tracing:
-        print("tracing: span capture on (poll the 'trace' op for the "
-              "Chrome trace)")
-    if args.flight_window > 0:
-        print(f"flight: recording the last {args.flight_window:g}s "
-              f"(dumps to {flight_dir}; trigger via SIGUSR2, the "
-              "'flight' op, or 'repro flight-dump')")
-    if args.history_interval > 0:
-        print(f"history: metrics sampled every {args.history_interval:g}s "
-              "(poll the 'history' op)")
     for s, t in pairs:
         initial = engine.op_watch(s, t)
         print(f"watch ({s}, {t}): {initial['count']} initial paths")
@@ -484,8 +461,6 @@ def _cmd_serve(args) -> int:
         asyncio.run(main())
     except KeyboardInterrupt:
         pass
-    finally:
-        engine.close()
     print("\nshut down")
     return 0
 
@@ -623,7 +598,7 @@ def _cmd_profile(args) -> int:
         snapshot = obs.snapshot()
     finally:
         obs.set_enabled(previous)
-    if args.json:
+    if args.format == "snapshot":
         print(json.dumps(snapshot, indent=2, sort_keys=True))
         return 0
     if args.format == "json":

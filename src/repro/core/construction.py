@@ -29,16 +29,25 @@ keeping the paper's separate queues.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.obs.explain import active as explain_active
 from repro.core.distance import MAX_HORIZON, DistanceMap
 from repro.core.index import BitSpace, Bucket, PartialPathIndex
 from repro.core.paths import Path
 from repro.core.plan import JoinPlan
 from repro.graph.digraph import DynamicDiGraph, Vertex
+
+
+#: One dynamic-cut growth decision (Optimization 2): the growth step
+#: (the level sum it reaches), the side grown, and the two frontier
+#: sizes that were compared.
+CutRow = Tuple[int, str, int, int]
+
+#: One level search (Optimization 1): side, level, successor expansions
+#: attempted, and partial paths admitted by the distance test.
+LevelRow = Tuple[str, int, int, int]
 
 
 @dataclass
@@ -47,9 +56,13 @@ class ConstructionStats:
 
     ``prep_seconds`` covers the distance maps (the paper's "Prep"
     component in Fig. 11); ``build_seconds`` covers the level searches
-    (the paper's "IC").
+    (the paper's "IC").  ``cuts`` and ``levels`` keep one row per cut
+    decision and per level search, in build order: the per-query
+    record EXPLAIN reads.  ``forced`` marks a build whose plan was
+    given rather than chosen by the dynamic cut.
     """
 
+    forced: bool = False
     prep_seconds: float = 0.0
     build_seconds: float = 0.0
     left_levels: int = 0
@@ -58,6 +71,8 @@ class ConstructionStats:
     right_paths: int = 0
     expansions: int = 0
     pruned: int = 0
+    cuts: List[CutRow] = field(default_factory=list)
+    levels: List[LevelRow] = field(default_factory=list)
 
 
 def map_horizon(k: int) -> int:
@@ -131,7 +146,7 @@ def build_index(
             f"{dist_t.horizon}), not ({t!r}, {horizon})"
         )
 
-    stats = ConstructionStats()
+    stats = ConstructionStats(forced=forced_plan is not None)
     started = time.perf_counter()
     with obs.span("construction.prep"):
         if dist_s is None:
@@ -157,14 +172,9 @@ def build_index(
         obs.incr("construction.pruned", stats.pruned)
         obs.observe("construction.left_paths", stats.left_paths)
         obs.observe("construction.right_paths", stats.right_paths)
-    recorder = explain_active()
-    if recorder is not None:
-        recorder.record_plan(plan.pairs)
-        recorder.record_buckets(
-            {n: index.left.count_at_length(n) for n in index.left.lengths()},
-            {n: index.right.count_at_length(n) for n in index.right.lengths()},
-            index.direct_edge,
-        )
+        for side, _level, expansions, admitted in stats.levels:
+            obs.observe(f"construction.{side}_frontier", admitted)
+            obs.incr(f"construction.{side}_pruned", expansions - admitted)
     return BuildResult(index, dist_s, dist_t, stats)
 
 
@@ -200,9 +210,6 @@ class _Builder:
         # plus one bit.
         self._left_frontier: Dict[Path, int] = {(s,): self.bits[s]}
         self._right_frontier: Dict[Path, int] = {(t,): self.bits[t]}
-        # Per-query EXPLAIN recorder, checked once per build / level (not
-        # per expansion) so the no-recorder case stays free.
-        self._explain = explain_active()
 
     # ------------------------------------------------------------------
     def run(self, forced_plan: Optional[JoinPlan]) -> JoinPlan:
@@ -216,7 +223,7 @@ class _Builder:
         self._right_level(1)
         pairs.append((1, 1))
         forced = list(forced_plan.pairs) if forced_plan is not None else None
-        recorder = self._explain
+        cuts = self.stats.cuts
         while i + j < k:
             if forced is not None:
                 ni, nj = forced[i + j - 1]
@@ -232,14 +239,12 @@ class _Builder:
                     if grow_left
                     else "construction.cut.grow_right"
                 )
-            if recorder is not None:
-                recorder.record_cut(
-                    i + j + 1,
-                    "left" if grow_left else "right",
-                    len(self._left_frontier),
-                    len(self._right_frontier),
-                    forced=forced is not None,
-                )
+            cuts.append((
+                i + j + 1,
+                "left" if grow_left else "right",
+                len(self._left_frontier),
+                len(self._right_frontier),
+            ))
             if grow_left:
                 i += 1
                 self._left_level(i)
@@ -280,15 +285,9 @@ class _Builder:
         self.left.add_level(level, bucket, next_frontier)
         self.stats.expansions += expansions
         self.stats.pruned += expansions - len(next_frontier)
-        if obs.enabled():
-            obs.observe("construction.left_frontier", len(next_frontier))
-            obs.incr(
-                "construction.left_pruned", expansions - len(next_frontier)
-            )
-        if self._explain is not None:
-            self._explain.record_level(
-                "left", level, expansions, len(next_frontier)
-            )
+        self.stats.levels.append(
+            ("left", level, expansions, len(next_frontier))
+        )
         self._left_frontier = next_frontier
 
     def _right_level(self, level: int) -> None:
@@ -318,19 +317,15 @@ class _Builder:
         self.right.add_level(level, bucket, next_frontier)
         self.stats.expansions += expansions
         self.stats.pruned += expansions - len(next_frontier)
-        if obs.enabled():
-            obs.observe("construction.right_frontier", len(next_frontier))
-            obs.incr(
-                "construction.right_pruned", expansions - len(next_frontier)
-            )
-        if self._explain is not None:
-            self._explain.record_level(
-                "right", level, expansions, len(next_frontier)
-            )
+        self.stats.levels.append(
+            ("right", level, expansions, len(next_frontier))
+        )
         self._right_frontier = next_frontier
 
 
 __all__ = [
+    "CutRow",
+    "LevelRow",
     "ConstructionStats",
     "BuildResult",
     "build_index",

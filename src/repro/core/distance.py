@@ -55,9 +55,8 @@ class DistanceMap:
     ----------
     view:
         A graph view exposing ``int_adjacency(reverse=False)`` and
-        ``out_neighbors`` (a :class:`~repro.graph.digraph.DynamicDiGraph`,
-        a :class:`~repro.graph.frozen.FrozenDiGraph`, or either one's
-        reverse view).  The view must reflect graph mutations *before*
+        ``out_neighbors`` (a :class:`~repro.graph.digraph.DynamicDiGraph`
+        or its reverse view).  The view must reflect graph mutations *before*
         the corresponding ``relax_insert`` / ``tighten_delete`` call.
     source:
         The BFS source.  It need not be registered in the view yet: an

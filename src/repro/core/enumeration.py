@@ -3,8 +3,8 @@
 - :func:`enumerate_full` — Algorithm 1: for every plan pair ``(i, j)``
   join ``LP_i(v_c)`` with ``RP_j(v_c)`` over the middle vertices, with a
   vertex-disjointness check; each k-st path appears exactly once
-  (Theorems 1–2).  :func:`enumerate_full_list` and :func:`count_full`
-  run the same join, materialized and counted.
+  (Theorems 1–2).  :func:`enumerate_full_list`, :func:`count_by_pair`
+  and :func:`count_full` run the same join, materialized and counted.
 - :func:`enumerate_delta` — the update enumeration: joins in which at
   least one side belongs to the changed part of the index, i.e.
   ``ΔLP ⋈ RP  ∪  (LP − ΔLP) ⋈ ΔRP`` (Theorem 3).  Used with the
@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.obs.explain import ExplainRecord
-from repro.obs.explain import active as explain_active
 from repro.core.index import JoinStep, PartialPathIndex, PathBuckets
 from repro.core.paths import Path
 from repro.graph.npcompat import get_numpy
@@ -65,7 +63,21 @@ def enumerate_full_list(index: PartialPathIndex) -> List[Path]:
 
 def count_full(index: PartialPathIndex) -> int:
     """Number of k-st paths: the join's mask hits, no path is built."""
-    return int(index.direct_edge) + sum(_join(index, None))
+    return int(index.direct_edge) + sum(count_by_pair(index).values())
+
+
+def count_by_pair(index: PartialPathIndex) -> Dict[Tuple[int, int], int]:
+    """The join's mask hits per plan pair ``(i, j)``, no path is built.
+
+    One entry per program step, in plan order; a plan pair with an
+    empty level has no step and no entry.  The direct edge is not a
+    join output and is not counted.
+    """
+    hits = list(_join(index, None))
+    return {
+        (step.i, step.j): emitted
+        for step, emitted in zip(index.packed_program(), hits)
+    }
 
 
 def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
@@ -73,10 +85,9 @@ def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
 
     Appends each step's paths to ``out`` (with ``out=None`` it only
     counts the mask hits) and yields the step's emit count: the growth
-    of ``out`` over the step.  With obs on or an EXPLAIN recorder
-    installed, the counts are reported once per plan pair at the end.
+    of ``out`` over the step.  With obs on, the counts are reported
+    once per program step at the end.
     """
-    recorder = explain_active()
     observed = obs.enabled()
     counting = out is None
     sink: List[Path] = [] if out is None else out  # stays empty if counting
@@ -129,32 +140,16 @@ def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
         emitted = hits if counting else len(sink) - before
         emits.append(emitted)
         yield emitted
-    if observed or recorder is not None:
-        _record(index, program, emits, recorder)
+    if observed:
+        _record(index, program, emits)
 
 
 def _record(
-    index: PartialPathIndex,
-    program: List[JoinStep],
-    emits: List[int],
-    recorder: Optional[ExplainRecord],
+    index: PartialPathIndex, program: List[JoinStep], emits: List[int]
 ) -> None:
-    """Report one join's per-pair counts to obs and the EXPLAIN recorder.
-
-    Obs covers the program's steps (pairs whose two levels are both
-    non-empty); a recorder gets every plan pair, with zeros where a pair
-    has no step, and then obs reports that same set.
-    """
-    pairs = {
-        (step.i, step.j): (step.cut_vertices, step.probe_total, emitted)
-        for step, emitted in zip(program, emits)
-    }
-    if recorder is not None:
-        pairs = {pair: pairs.get(pair, (0, 0, 0)) for pair in index.plan}
-    for (i, j), (cut_vertices, probes, emitted) in pairs.items():
-        if recorder is not None:
-            recorder.record_join_pair(i, j, cut_vertices, probes, emitted)
-        obs.incr(f"enumeration.join.{i}x{j}.paths", emitted)
+    """Report one join's per-step emit counts to obs."""
+    for step, emitted in zip(program, emits):
+        obs.incr(f"enumeration.join.{step.i}x{step.j}.paths", emitted)
         obs.observe("enumeration.join_pair_output", emitted)
     obs.incr("enumeration.paths", int(index.direct_edge) + sum(emits))
 
@@ -270,5 +265,6 @@ __all__ = [
     "enumerate_full",
     "enumerate_full_list",
     "enumerate_delta",
+    "count_by_pair",
     "count_full",
 ]

@@ -63,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro import obs
-from repro.obs.explain import active as explain_active
 from repro.core.distance import DistanceMap
 from repro.core.index import Bucket, PartialPathIndex, PathBuckets
 from repro.core.paths import Path
@@ -201,15 +200,6 @@ class IndexMaintainer:
             obs.observe(
                 "maintenance.insert_delta_partials",
                 record.delta_partial_paths,
-            )
-        recorder = explain_active()
-        if recorder is not None:
-            recorder.record_maintenance(
-                "insert",
-                record.delta_partial_paths,
-                record.relaxed_s + record.relaxed_t,
-                0,
-                record.direct_changed,
             )
         return record
 
@@ -486,15 +476,6 @@ class IndexMaintainer:
             obs.observe(
                 "maintenance.delete_delta_partials",
                 record.delta_partial_paths,
-            )
-        recorder = explain_active()
-        if recorder is not None:
-            recorder.record_maintenance(
-                "delete",
-                record.delta_partial_paths,
-                0,
-                record.tightened_s + record.tightened_t,
-                record.direct_changed,
             )
         return record
 

@@ -13,9 +13,9 @@ hashable vertices and that dense id space:
   sequence assign identical ids, which is what keeps answers
   byte-identical across graph rebuilds and snapshot restores.
 
-The graph layer owns one interner per :class:`~repro.graph.digraph.DynamicDiGraph`
-and per :class:`~repro.graph.frozen.FrozenDiGraph` snapshot (every
-registered vertex is interned).  The index's join masks use their own
+The graph layer owns one interner per
+:class:`~repro.graph.digraph.DynamicDiGraph` (every registered vertex
+is interned).  The index's join masks use their own
 private bit space instead (:class:`repro.core.index.BitSpace`).
 """
 

@@ -27,13 +27,14 @@ cost contract:
 
 - :mod:`repro.obs.events` — the structured event log (bounded ring of
   typed events with correlation IDs);
-- :mod:`repro.obs.explain` — per-query EXPLAIN/ANALYZE recording
-  (dynamic-cut decisions, prune counters, join cardinalities);
+- :mod:`repro.obs.explain` — per-query EXPLAIN/ANALYZE reports
+  (dynamic-cut decisions, prune counters, join cardinalities), read
+  off the records a build and a join already keep;
 - :mod:`repro.obs.trace` — Chrome trace-event export built on spans;
 - :mod:`repro.obs.timeseries` — the bounded metrics time-series ring
   behind the ``history`` wire op and ``repro top`` sparklines;
-- :mod:`repro.obs.flight` — the always-on flight recorder and the
-  ``repro-flight/1`` bundle format.
+- :mod:`repro.obs.flight` — the flight ring (the one span sink of a
+  server with metrics on) and the ``repro-flight/1`` bundle format.
 """
 
 from __future__ import annotations
@@ -55,14 +56,12 @@ from repro.obs.spans import (
     NOOP_SPAN,
     NoopSpan,
     Span,
-    flight_sink,
-    set_flight_sink,
     set_trace_sink,
     trace_sink,
 )
 from repro.obs.trace import TraceBuffer, tracing, validate_chrome_trace
 from repro.obs import flight, timeseries
-from repro.obs.flight import FlightRecorder, validate_flight_bundle
+from repro.obs.flight import validate_flight_bundle
 from repro.obs.timeseries import TimeSeriesRing
 
 _REGISTRY = MetricsRegistry()
@@ -162,7 +161,6 @@ __all__ = [
     "Counter",
     "ExplainRecord",
     "ExplainReport",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -180,8 +178,6 @@ __all__ = [
     "tracing",
     "set_trace_sink",
     "trace_sink",
-    "set_flight_sink",
-    "flight_sink",
     "validate_chrome_trace",
     "validate_flight_bundle",
     "prometheus_name",

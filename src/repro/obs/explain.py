@@ -17,28 +17,30 @@ what it cost* — in the spirit of a database ``EXPLAIN``:
   with the invariant that per-pair emits (plus the direct edge) sum to
   the enumerated k-st path total.
 
-The recorder rides a :class:`~contextvars.ContextVar`: the core layers
-call :func:`active` once per build / enumeration / repair (not per
-expansion) and record only when a recorder is installed, so the common
-no-recorder case costs one context-variable read per query-level
-operation.  :func:`explain_query` is the driver behind ``repro
-explain``, the ``explain`` wire op, and ``ServiceClient.explain()``.
+Every number is read off a record the serving code already keeps, so
+an explained query runs exactly the code that serves it: the cut
+decisions and level counts are the build's
+:class:`~repro.core.construction.ConstructionStats` rows, the plan,
+bucket sizes and direct edge are the index's, the estimates are the
+join program's per-step totals, and ANALYZE's emits come from
+:func:`~repro.core.enumeration.count_by_pair` over the one join body.
+:func:`explain_query` is the driver behind ``repro explain``, the
+``explain`` wire op, and ``ServiceClient.explain()``.
 
-This module deliberately imports nothing from ``repro.core`` at import
-time (the core layers import *it*); the drivers import the core lazily.
+``repro.core`` imports ``repro.obs``, whose package imports this
+module, so the drivers import the core lazily.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.trace import TraceBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core import
+    from repro.core.construction import BuildResult
     from repro.graph.digraph import DynamicDiGraph, Vertex
 
 
@@ -113,36 +115,8 @@ class JoinPairStats:
 
 
 @dataclass
-class MaintenanceStats:
-    """One index repair observed while a recorder was active."""
-
-    kind: str  # "insert" or "delete"
-    delta_partials: int
-    relaxed: int
-    tightened: int
-    direct_changed: bool
-    ts: float = 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready view."""
-        return {
-            "kind": self.kind,
-            "delta_partials": self.delta_partials,
-            "relaxed": self.relaxed,
-            "tightened": self.tightened,
-            "direct_changed": self.direct_changed,
-        }
-
-
-@dataclass
 class ExplainRecord:
-    """Everything the core layers report for one explained query.
-
-    The record is write-mostly: the construction, enumeration, and
-    maintenance layers append through the ``record_*`` methods while
-    the record is installed via :func:`recording`; the report layer
-    reads it afterwards.
-    """
+    """Everything one explained query reports (see :func:`explain_build`)."""
 
     cut_steps: List[CutStep] = field(default_factory=list)
     levels: List[LevelStats] = field(default_factory=list)
@@ -151,61 +125,8 @@ class ExplainRecord:
     right_buckets: Dict[int, int] = field(default_factory=dict)
     direct_edge: bool = False
     join_pairs: List[JoinPairStats] = field(default_factory=list)
-    maintenance: List[MaintenanceStats] = field(default_factory=list)
     total_paths: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # Write side (called from repro.core while installed)
-    # ------------------------------------------------------------------
-    def record_cut(self, step: int, side: str, left_frontier: int,
-                   right_frontier: int, forced: bool = False) -> None:
-        """One Optimization 2 growth decision with its cost estimates."""
-        self.cut_steps.append(CutStep(
-            step, side, left_frontier, right_frontier, forced,
-            time.perf_counter(),
-        ))
-
-    def record_level(self, side: str, level: int, expansions: int,
-                     admitted: int) -> None:
-        """One BFS level's expansion / admission counts."""
-        self.levels.append(LevelStats(
-            side, level, expansions, admitted, time.perf_counter()
-        ))
-
-    def record_plan(self, pairs: Tuple[Tuple[int, int], ...]) -> None:
-        """The final join plan (Algorithm 2's trace of ``(i, j)`` pairs)."""
-        self.plan_pairs = tuple(pairs)
-
-    def record_buckets(self, left: Dict[int, int], right: Dict[int, int],
-                       direct_edge: bool) -> None:
-        """Per-length ``LP_i`` / ``RP_j`` path counts and the direct edge."""
-        self.left_buckets = dict(left)
-        self.right_buckets = dict(right)
-        self.direct_edge = direct_edge  # repro: noqa[R001]
-
-    def record_join_pair(self, i: int, j: int, cut_vertices: int,
-                         probes: int, emitted: int) -> None:
-        """One join pair's measured cardinalities (ANALYZE only)."""
-        self.join_pairs.append(JoinPairStats(
-            i, j, cut_vertices, probes, emitted, time.perf_counter()
-        ))
-
-    def record_total(self, total: int) -> None:
-        """The enumerated k-st path total (ANALYZE only)."""
-        self.total_paths = total
-
-    def record_maintenance(self, kind: str, delta_partials: int,
-                           relaxed: int, tightened: int,
-                           direct_changed: bool) -> None:
-        """One index repair's delta accounting."""
-        self.maintenance.append(MaintenanceStats(
-            kind, delta_partials, relaxed, tightened, direct_changed,
-            time.perf_counter(),
-        ))
-
-    # ------------------------------------------------------------------
-    # Read side
-    # ------------------------------------------------------------------
     @property
     def split(self) -> Tuple[int, int]:
         """The chosen ``(l, r)`` with ``l + r = k`` (``(0, 0)`` if unset)."""
@@ -244,46 +165,11 @@ class ExplainRecord:
         }
         if self.join_pairs:
             out["join_pairs"] = [pair.as_dict() for pair in self.join_pairs]
-        if self.maintenance:
-            out["maintenance"] = [m.as_dict() for m in self.maintenance]
         if self.total_paths is not None:
             out["total_paths"] = self.total_paths
             out["emitted_total"] = self.emitted_total()
             out["invariant_ok"] = self.invariant_ok()
         return out
-
-
-# ---------------------------------------------------------------------------
-# Recorder installation (ContextVar so asyncio.to_thread inherits it)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: "ContextVar[Optional[ExplainRecord]]" = ContextVar(
-    "repro_obs_explain", default=None
-)
-
-
-def active() -> Optional[ExplainRecord]:
-    """The installed recorder, or ``None`` (the common, free case)."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def recording(
-    record: Optional[ExplainRecord] = None,
-) -> Iterator[ExplainRecord]:
-    """Install ``record`` (or a fresh one) for the enclosed region::
-
-        with explain.recording() as rec:
-            result = build_index(graph, s, t, k)
-            total = count_full(result.index)
-        assert rec.invariant_ok()
-    """
-    rec = record if record is not None else ExplainRecord()
-    token = _ACTIVE.set(rec)
-    try:
-        yield rec
-    finally:
-        _ACTIVE.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -424,51 +310,82 @@ def explain_query(
 
     Always builds the index (the index *is* the plan — construction is
     the cheap part by design); with ``analyze=True`` additionally runs
-    the full join enumeration so the report carries actual per-pair
-    probe/emit cardinalities and the invariant check.
+    the full join so the report carries actual per-pair probe/emit
+    cardinalities and the invariant check.
     """
-    # Imported lazily: repro.core imports this module for the hooks.
     from repro.core.construction import build_index
-    from repro.core.enumeration import count_full
 
-    with recording() as rec:
+    return explain_build(graph, build_index(graph, s, t, k), analyze)
+
+
+def explain_build(
+    graph: "DynamicDiGraph", result: "BuildResult", analyze: bool = False
+) -> ExplainReport:
+    """The report of one finished :func:`build_index` over ``graph``.
+
+    Cut decisions and levels are the build's ``ConstructionStats``
+    rows; plan, bucket sizes and direct edge are the index's.
+    Estimates come from the join program; plan pairs with no program
+    step (one of their levels is empty) get zeros.  ANALYZE runs
+    :func:`~repro.core.enumeration.count_by_pair`, the counting form of
+    the production join.
+    """
+    from repro import obs
+    from repro.core.enumeration import count_by_pair
+
+    # Construction's rows, stamped with the end of construction.
+    built = time.perf_counter()
+    stats, index = result.stats, result.index
+    record = ExplainRecord(
+        cut_steps=[
+            CutStep(step, side, left, right, stats.forced, built)
+            for step, side, left, right in stats.cuts
+        ],
+        levels=[
+            LevelStats(side, level, expansions, admitted, built)
+            for side, level, expansions, admitted in stats.levels
+        ],
+        plan_pairs=index.plan.pairs,
+        left_buckets={
+            n: index.left.count_at_length(n) for n in index.left.lengths()
+        },
+        right_buckets={
+            n: index.right.count_at_length(n) for n in index.right.lengths()
+        },
+        direct_edge=index.direct_edge,
+    )
+    steps = {
+        (step.i, step.j): (step.cut_vertices, step.probe_total)
+        for step in index.packed_program()
+    }
+    shape = [(i, j) + steps.get((i, j), (0, 0)) for i, j in index.plan]
+    enumeration_seconds = 0.0
+    if analyze:
         started = time.perf_counter()
-        result = build_index(graph, s, t, k)
-        construction_seconds = time.perf_counter() - started
-        index = result.index
-        # Read off the join program the enumeration runs; zeros for a
-        # plan pair with no step (one of its levels is empty).
-        steps = {(step.i, step.j): step for step in index.packed_program()}
-        estimates: List[Dict[str, Any]] = []
-        for i, j in index.plan:
-            step = steps.get((i, j))
-            estimates.append({
-                "i": i,
-                "j": j,
-                "cut_vertices": step.cut_vertices if step else 0,
-                "est_output": step.probe_total if step else 0,
-            })
-        enumeration_seconds = 0.0
-        if analyze:
-            # obs.span is gated; the CLI enables obs for --format trace so
-            # the enumeration shows up as an interval on the timeline.
-            from repro import obs
-
-            started = time.perf_counter()
-            with obs.span("enumeration.full"):
-                total = count_full(index)
-            enumeration_seconds = time.perf_counter() - started
-            rec.record_total(total)
+        # obs.span is gated; the CLI enables obs for --format trace so
+        # the enumeration shows up as an interval on the timeline.
+        with obs.span("enumeration.full"):
+            counts = count_by_pair(index)
+        finished = time.perf_counter()
+        enumeration_seconds = finished - started
+        record.join_pairs = [
+            JoinPairStats(i, j, cut, probes, counts.get((i, j), 0), finished)
+            for i, j, cut, probes in shape
+        ]
+        record.total_paths = int(index.direct_edge) + sum(counts.values())
     return ExplainReport(
-        s=s,
-        t=t,
-        k=k,
+        s=index.s,
+        t=index.t,
+        k=index.k,
         analyze=analyze,
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
-        record=rec,
-        estimates=estimates,
-        construction_seconds=construction_seconds,
+        record=record,
+        estimates=[
+            {"i": i, "j": j, "cut_vertices": cut, "est_output": probes}
+            for i, j, cut, probes in shape
+        ],
+        construction_seconds=stats.prep_seconds + stats.build_seconds,
         enumeration_seconds=enumeration_seconds,
     )
 
@@ -477,10 +394,8 @@ __all__ = [
     "CutStep",
     "LevelStats",
     "JoinPairStats",
-    "MaintenanceStats",
     "ExplainRecord",
     "ExplainReport",
-    "active",
-    "recording",
+    "explain_build",
     "explain_query",
 ]

@@ -65,27 +65,6 @@ def trace_sink() -> Optional[TraceSink]:
     return _TRACE_SINK
 
 
-#: A second, independent sink slot for the always-on flight recorder
-#: (see ``obs.flight``).  Kept separate from :data:`_TRACE_SINK` so an
-#: explain trace and the flight ring can both observe the same spans
-#: without either knowing about the other.
-_FLIGHT_SINK: Optional[TraceSink] = None
-
-
-def set_flight_sink(sink: Optional[TraceSink]) -> Optional[TraceSink]:
-    """Install (or clear, with ``None``) the flight-recorder sink;
-    returns the previous one so callers can save/restore."""
-    global _FLIGHT_SINK
-    previous = _FLIGHT_SINK
-    _FLIGHT_SINK = sink
-    return previous
-
-
-def flight_sink() -> Optional[TraceSink]:
-    """The currently installed flight-recorder sink, if any."""
-    return _FLIGHT_SINK
-
-
 class NoopSpan:
     """The do-nothing span used while tracing is disabled."""
 
@@ -134,11 +113,6 @@ class Span:
             sink.record_span(
                 self.name, self._started, elapsed, threading.get_ident()
             )
-        flight = _FLIGHT_SINK
-        if flight is not None:
-            flight.record_span(
-                self.name, self._started, elapsed, threading.get_ident()
-            )
         return None
 
 
@@ -148,8 +122,6 @@ __all__ = [
     "NOOP_SPAN",
     "Span",
     "TraceSink",
-    "flight_sink",
-    "set_flight_sink",
     "set_trace_sink",
     "trace_sink",
 ]

@@ -10,14 +10,15 @@ ring, so memory stays constant no matter how long a server runs.
 
 Ticking is pull-based and cheap to decline: callers sprinkle
 :meth:`maybe_sample` wherever they already hold the thread (the server
-runs a dedicated asyncio ticker; workers call it once per command), and
-it returns immediately unless a full interval elapsed.  Timestamps are
+runs a dedicated asyncio ticker while a ring is installed), and it
+returns immediately unless a full interval elapsed.  Timestamps are
 ``time.perf_counter()`` seconds — monotonic, process-local, and
 deliberately not wall clock, matching the rest of the tracing stack.
 
-The module-level ``install``/``current`` slot mirrors the span sinks:
+The module-level ``install``/``current`` slot mirrors the span sink:
 one ring per process, shared by the ``history`` wire op, ``repro top``,
-and flight-recorder dumps.
+and flight dumps.  ``repro serve`` installs it, with the flight ring,
+exactly when metrics are on (:func:`repro.obs.flight.install`).
 """
 
 from __future__ import annotations

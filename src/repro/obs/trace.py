@@ -4,6 +4,8 @@
 it with :func:`repro.obs.spans.set_trace_sink` (or use the
 :func:`tracing` context manager) and every finished
 :class:`~repro.obs.spans.Span` lands in the buffer as an interval.
+Given a ``window`` and a ``max_spans`` bound it is a ring that keeps
+only recent spans: the flight ring of :mod:`repro.obs.flight`.
 Instant markers (:meth:`TraceBuffer.instant`) carry point-in-time
 payloads — ``repro explain`` uses them for the cut decision, per-level
 prune counters, and join-pair cardinalities so the numbers show up
@@ -23,9 +25,11 @@ suite and the CI smoke step (``benchmarks/check_trace.py``).
 
 from __future__ import annotations
 
+import collections
 import os
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+import time
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.spans import TraceSink, set_trace_sink
 
@@ -35,18 +39,39 @@ MARK_CATEGORY = "mark"
 
 
 class TraceBuffer(TraceSink):
-    """Thread-safe collector of span intervals and instant markers."""
+    """Thread-safe collector of span intervals and instant markers.
 
-    def __init__(self) -> None:
+    With ``window`` (seconds), only spans that ended within the last
+    ``window`` seconds are kept and returned; with ``max_spans``, at
+    most that many, oldest dropped first.  Without either the buffer
+    keeps everything until :meth:`clear`.
+    """
+
+    def __init__(
+        self, window: Optional[float] = None, max_spans: Optional[int] = None
+    ) -> None:
+        if window is not None and window <= 0:
+            raise ValueError("window must be positive")
+        if max_spans is not None and max_spans < 1:
+            raise ValueError("max_spans must hold at least one span")
+        self.window = window
         self._lock = threading.Lock()
-        self._spans: List[Tuple[str, float, float, int]] = []
+        self._spans: Deque[Tuple[str, float, float, int]] = (
+            collections.deque(maxlen=max_spans)
+        )
         self._instants: List[Tuple[str, float, int, Dict[str, Any]]] = []
 
     def record_span(self, name: str, started: float, duration: float,
                     thread_id: int) -> None:
-        """Accept one finished span (``perf_counter`` seconds)."""
+        """Accept one finished span (``perf_counter`` seconds), evicting
+        spans that ended before the window."""
         with self._lock:
-            self._spans.append((name, started, duration, thread_id))
+            spans = self._spans
+            if self.window is not None:
+                horizon = started + duration - self.window
+                while spans and spans[0][1] + spans[0][2] < horizon:
+                    spans.popleft()
+            spans.append((name, started, duration, thread_id))
 
     def instant(self, name: str, ts: float,
                 args: Optional[Dict[str, Any]] = None) -> None:
@@ -59,10 +84,19 @@ class TraceBuffer(TraceSink):
     def __len__(self) -> int:
         return len(self._spans) + len(self._instants)
 
-    def spans(self) -> List[Tuple[str, float, float, int]]:
-        """Recorded ``(name, started, duration, thread_id)`` intervals."""
+    def spans(
+        self, now: Optional[float] = None
+    ) -> List[Tuple[str, float, float, int]]:
+        """Recorded ``(name, started, duration, thread_id)`` intervals,
+        oldest first; with a window, those that ended within it."""
         with self._lock:
-            return list(self._spans)
+            spans = list(self._spans)
+        if self.window is None:
+            return spans
+        if now is None:
+            now = time.perf_counter()
+        horizon = now - self.window
+        return [span for span in spans if span[1] + span[2] >= horizon]
 
     def instants(self) -> List[Tuple[str, float, int, Dict[str, Any]]]:
         """Recorded ``(name, ts, thread_id, args)`` markers."""
@@ -88,8 +122,8 @@ class TraceBuffer(TraceSink):
         ``ts == 0`` (the viewer cares about relative time only) and
         converted to integer microseconds per the spec.
         """
+        spans = self.spans()
         with self._lock:
-            spans = list(self._spans)
             instants = list(self._instants)
         starts = [s[1] for s in spans] + [i[1] for i in instants]
         base = min(starts) if starts else 0.0

@@ -248,17 +248,18 @@ class ServiceClient:
     def trace(
         self, clear: bool = True, deadline_ms: Optional[float] = None
     ) -> Dict[str, Any]:
-        """The Chrome trace of the spans captured server-side.
+        """The server's flight ring as a Chrome trace.
 
-        Returns ``enabled`` and the ``trace`` object; ``clear``
-        (default) drains the server-side capture.
+        Returns ``enabled`` (false when the server runs without
+        metrics) and the ``trace`` object; ``clear`` (default) empties
+        the ring.
         """
         return self.call("trace", deadline_ms=deadline_ms, clear=clear)
 
     def history(self, deadline_ms: Optional[float] = None) -> Dict[str, Any]:
         """The server's metrics time-series ring snapshot (for
         sparklines and dashboards); ``history`` is ``None`` unless the
-        server runs with a sampling interval."""
+        server runs with metrics on."""
         return self.call("history", deadline_ms=deadline_ms)
 
     def flight(

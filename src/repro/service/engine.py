@@ -44,9 +44,6 @@ from typing import (
 from repro import obs
 from repro.obs import events, flight, timeseries
 from repro.obs.explain import explain_query
-from repro.obs.spans import TraceSink
-from repro.obs.timeseries import TimeSeriesRing
-from repro.obs.trace import TraceBuffer
 from repro.core.batch import compress_stream
 from repro.core.monitor import MultiPairMonitor, PairKey
 from repro.core.paths import Path
@@ -75,16 +72,11 @@ class PathQueryEngine:
     cache_budget_bytes:
         Memory budget of the warm-index cache (see
         :class:`~repro.service.cache.IndexCache`).
-    tracing:
-        Install a span-capture buffer, retrievable as a Chrome trace via
-        the ``trace`` op.
-    flight_window:
-        When > 0, run the always-on flight recorder holding the last
-        this-many seconds of spans — the raw material of ``flight``
-        dumps.
-    timeseries_interval:
-        When > 0, install the bounded metrics time-series ring sampling
-        on this tick (seconds); served by the ``history`` op.
+
+    The engine installs nothing process-wide: the ``trace``,
+    ``history`` and ``flight`` ops read the span and history rings
+    :func:`repro.obs.flight.install` puts in place (``repro serve``
+    does so exactly when metrics are on).
     """
 
     def __init__(
@@ -92,33 +84,15 @@ class PathQueryEngine:
         graph: DynamicDiGraph,
         default_k: int = 6,
         cache_budget_bytes: int = 4 << 20,
-        tracing: bool = False,
-        flight_window: float = 0.0,
-        timeseries_interval: float = 0.0,
     ) -> None:
         self.graph = graph
         self.default_k = default_k
-        self._capture: Optional[TraceBuffer] = None
-        self._previous_sink: Optional[TraceSink] = None
-        self._flight_enabled_here = False
         #: Sink for spontaneous flight dumps (deadline burst, SIGUSR2):
         #: called with ``(reason, bundle)``.  The CLI installs a file
         #: writer here; ``None`` = dumps are dropped.
         self.on_flight_dump: Optional[
             Callable[[str, Dict[str, Any]], None]
         ] = None
-        if tracing:
-            self._capture = TraceBuffer()
-            self._previous_sink = obs.set_trace_sink(self._capture)
-        if flight_window > 0:
-            flight.enable(window=flight_window)
-            self._flight_enabled_here = True
-        self._ring_installed_here = False
-        if timeseries_interval > 0:
-            timeseries.install(
-                TimeSeriesRing(obs.registry(), interval=timeseries_interval)
-            )
-            self._ring_installed_here = True
         self.monitor = MultiPairMonitor(graph, default_k)
         self.cache = IndexCache(graph, budget_bytes=cache_budget_bytes)
         self._served: Dict[str, int] = {}
@@ -377,20 +351,21 @@ class PathQueryEngine:
         }
 
     def op_trace(self, clear: bool = True) -> Dict[str, Any]:
-        """The Chrome trace of the spans captured so far.
+        """The span ring rendered as a Chrome trace.
 
-        With ``clear``, the default, the capture is drained so the next
-        call starts fresh.  Requires the engine to run with
-        ``tracing=True``.
+        With ``clear``, the default, the ring is emptied so the next
+        call starts fresh.  Without a ring installed the answer is
+        ``enabled: false`` with an empty trace.
         """
-        if self._capture is None:
+        ring = flight.ring()
+        if ring is None:
             return {
                 "enabled": False,
                 "trace": {"traceEvents": [], "displayTimeUnit": "ms"},
             }
-        trace = self._capture.to_chrome_trace()
+        trace = ring.to_chrome_trace()
         if clear:
-            self._capture.clear()
+            ring.clear()
         return {"enabled": True, "trace": trace}
 
     def op_history(self) -> Dict[str, Any]:
@@ -408,7 +383,7 @@ class PathQueryEngine:
         bundle travels back on the wire for the caller to keep.
         """
         return {
-            "enabled": flight.enabled(),
+            "enabled": flight.ring() is not None,
             "bundle": self._flight_bundle(reason),
         }
 
@@ -476,23 +451,6 @@ class PathQueryEngine:
             },
             "cache": self.cache.stats().as_dict(),
         }
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Unhook whatever obs plane the constructor installed.
-
-        Idempotent; an engine without obs options has nothing to
-        release.
-        """
-        if self._capture is not None:
-            obs.set_trace_sink(self._previous_sink)
-            self._capture = None
-        if self._flight_enabled_here:
-            flight.disable()
-            self._flight_enabled_here = False
-        if self._ring_installed_here:
-            timeseries.install(None)
-            self._ring_installed_here = False
 
 
 __all__ = [

@@ -24,7 +24,9 @@ def test_profile_prints_per_stage_breakdown(capsys):
 
 
 def test_profile_json_mode_emits_snapshot(capsys):
-    assert main(["profile", "RT", "--scale", "0.25", "--json"]) == 0
+    assert main([
+        "profile", "RT", "--scale", "0.25", "--format", "snapshot",
+    ]) == 0
     snapshot = json.loads(capsys.readouterr().out)
     assert set(snapshot) >= {"counters", "gauges", "histograms"}
     histograms = snapshot["histograms"]
@@ -51,16 +53,6 @@ def test_profile_format_json_emits_bench_payload(capsys):
         assert set(metric) == {"value", "unit", "direction"}
         assert metric["direction"] in ("lower", "higher")
     assert metrics["initial_paths"]["unit"] == "paths"
-
-
-def test_profile_legacy_json_flag_still_wins(capsys):
-    # --json predates --format and emits the raw snapshot; it must keep
-    # doing so even when both flags appear.
-    assert main([
-        "profile", "RT", "--scale", "0.25", "--json", "--format", "json",
-    ]) == 0
-    snapshot = json.loads(capsys.readouterr().out)
-    assert set(snapshot) >= {"counters", "gauges", "histograms"}
 
 
 def test_profile_respects_query_and_update_knobs(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.distance import MAX_HORIZON, DistanceMap, induced_vertices
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.frozen import FrozenDiGraph
 from tests.conftest import make_random_graph
 
 
@@ -94,33 +93,6 @@ class TestTable:
         twin.tighten_delete(1, 2)
         assert twin.is_consistent()
         assert d.get(3) == 3 and twin.get(3) == twin.far
-
-
-class TestFrozenViews:
-    def test_frozen_and_reverse_views_match_live_maps(self):
-        rng = random.Random(44)
-        for _ in range(30):
-            g = make_random_graph(rng, max_edges=20)
-            frozen = FrozenDiGraph(g)
-            source = rng.choice(list(g.vertices()))
-            horizon = rng.randint(1, 5)
-            views = (
-                (g, frozen),
-                (g.reverse_view(), frozen.reverse_view()),
-            )
-            for live_view, frozen_view in views:
-                live = DistanceMap(live_view, source, horizon)
-                snap = DistanceMap(frozen_view, source, horizon)
-                assert snap.is_consistent()
-                assert list(snap.known()) == list(live.known())
-
-    def test_induced_vertices_on_frozen_views(self):
-        frozen = FrozenDiGraph(
-            DynamicDiGraph([(0, 1), (1, 2), (2, 3), (0, 9)])
-        )
-        ds = DistanceMap(frozen, 0, horizon=3)
-        dt = DistanceMap(frozen.reverse_view(), 3, horizon=3)
-        assert induced_vertices(ds, dt, 3) == {0, 1, 2, 3}
 
 
 class TestRelaxInsert:

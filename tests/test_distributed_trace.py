@@ -1,10 +1,11 @@
 """The ``trace`` / ``history`` / ``flight`` wire ops end to end over a
 live server.
 
-``repro serve`` is one process, so the ``trace`` op returns that
-process's own capture as one Chrome trace and a flight bundle holds one
-process record (the coordinator).  The test ids keep the names they had
-when these ops also stitched worker captures.
+The rings are installed as ``repro serve --metrics`` installs them
+(:func:`repro.obs.flight.install`).  ``repro serve`` is one process, so
+the ``trace`` op renders that process's flight ring as one Chrome trace
+and a flight bundle holds one process record.  The test ids keep the
+names they had when these ops also stitched worker captures.
 """
 
 import sys
@@ -14,8 +15,9 @@ import pytest
 
 from repro import obs
 from repro.graph.digraph import DynamicDiGraph
-from repro.obs import events
+from repro.obs import events, flight, timeseries
 from repro.obs.flight import validate_flight_bundle
+from repro.obs.timeseries import DEFAULT_INTERVAL
 from repro.obs.trace import validate_chrome_trace
 from repro.service.client import ServiceClient
 from repro.service.engine import PathQueryEngine
@@ -32,13 +34,8 @@ class TestWireOps:
         previous_events = events.set_enabled(True)
         obs.reset()
         graph = DynamicDiGraph([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
-        engine = PathQueryEngine(
-            graph,
-            default_k=3,
-            tracing=True,
-            flight_window=30.0,
-            timeseries_interval=0.05,
-        )
+        engine = PathQueryEngine(graph, default_k=3)
+        flight.install(obs.registry())
         handle = serve_in_thread(engine)
         try:
             with ServiceClient(handle.host, handle.port) as client:
@@ -48,7 +45,8 @@ class TestWireOps:
                 yield client
         finally:
             handle.stop()
-            engine.close()
+            obs.set_trace_sink(None)
+            timeseries.install(None)
             obs.set_enabled(previous)
             events.set_enabled(previous_events)
             obs.reset()
@@ -61,7 +59,7 @@ class TestWireOps:
         assert validate_chrome_trace(trace) == []
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert {"service.op.watch", "service.op.query"} <= names
-        # the default clear drains the capture
+        # the default clear empties the ring
         drained = observed_server.trace()["trace"]["traceEvents"]
         assert all(e["name"] == "service.op.trace" for e in drained)
 
@@ -69,7 +67,7 @@ class TestWireOps:
         result = observed_server.history()
         assert result["enabled"] is True
         history = result["history"]
-        assert history["interval"] == pytest.approx(0.05)
+        assert history["interval"] == pytest.approx(DEFAULT_INTERVAL)
         assert history["samples"]
 
     def test_flight_op_returns_fleet_bundle(self, observed_server):
@@ -78,7 +76,5 @@ class TestWireOps:
         bundle = result["bundle"]
         assert validate_flight_bundle(bundle) == []
         assert check_flight(bundle, reason="acceptance") == []
-        assert [(p["role"], p["shard"]) for p in bundle["processes"]] == [
-            ("coordinator", None)
-        ]
+        assert len(bundle["processes"]) == 1
         assert bundle["processes"][0]["spans"]

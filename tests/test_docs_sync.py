@@ -115,6 +115,7 @@ def test_analysis_md_examples_reflect_the_rules():
 def test_api_md_names_exist():
     """Spot-check that classes named in docs/API.md are importable."""
     import repro
+    import repro.core.serialize  # read below as core.serialize
     from repro import apps, baselines, core, related, service, workloads
 
     text = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")

@@ -2,6 +2,7 @@
 (:mod:`repro.obs.flight`, :mod:`repro.obs.timeseries`)."""
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,11 @@ from repro.obs import timeseries as timeseries_mod
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     BurstDetector,
-    FlightRecorder,
     validate_flight_bundle,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesRing
+from repro.obs.trace import TraceBuffer
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.check_flight import check_flight  # noqa: E402
@@ -24,11 +25,11 @@ from benchmarks.check_flight import check_flight  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def _clean_process_slots():
-    """Flight recorder and time-series slots start and end empty."""
-    flight_mod.disable()
+    """Span sink and time-series slots start and end empty."""
+    previous_sink = spans_mod.set_trace_sink(None)
     previous_ring = timeseries_mod.install(None)
     yield
-    flight_mod.disable()
+    spans_mod.set_trace_sink(previous_sink)
     timeseries_mod.install(previous_ring)
 
 
@@ -104,43 +105,50 @@ class TestTimeSeriesRing:
 
 class TestFlightRecorder:
     def test_window_evicts_old_spans(self):
-        recorder = FlightRecorder(window=10.0)
-        recorder.record_span("old", 0.0, 1.0, 1)
-        recorder.record_span("new", 20.0, 1.0, 1)
-        names = [span[0] for span in recorder.spans(now=21.0)]
+        ring = TraceBuffer(window=10.0)
+        ring.record_span("old", 0.0, 1.0, 1)
+        ring.record_span("new", 20.0, 1.0, 1)
+        names = [span[0] for span in ring.spans(now=21.0)]
         assert names == ["new"]
 
     def test_max_spans_bounds_memory(self):
-        recorder = FlightRecorder(window=1e6, max_spans=4)
+        ring = TraceBuffer(window=1e6, max_spans=4)
         for i in range(10):
-            recorder.record_span(f"s{i}", float(i), 0.1, 1)
-        assert len(recorder) == 4
+            ring.record_span(f"s{i}", float(i), 0.1, 1)
+        assert len(ring) == 4
 
     def test_process_record_and_bundle_validate(self):
-        recorder = FlightRecorder(window=30.0)
-        recorder.record_span("service.op.query", 1.0, 0.2, 7)
+        ring = TraceBuffer(window=30.0)
+        started = time.perf_counter()
+        ring.record_span("service.op.query", started, 0.2, 7)
+        spans_mod.set_trace_sink(ring)
         registry = MetricsRegistry()
         registry.counter("req").inc()
-        record = recorder.process_record(registry, now=2.0)
-        bundle = recorder.bundle("manual", [record])
+        record = flight_mod.process_record(registry)
+        assert record["window_seconds"] == 30.0
+        assert record["spans"] == [["service.op.query", started, 0.2, 7]]
+        bundle = flight_mod.bundle("manual", [record])
         assert bundle["schema"] == FLIGHT_SCHEMA
         assert validate_flight_bundle(bundle) == []
         assert check_flight(bundle, reason="manual", min_processes=1) == []
 
     def test_installed_recorder_captures_spans(self):
-        flight_mod.enable(window=30.0)
-        with spans_mod.Span("flight.test", MetricsRegistry()):
+        registry = MetricsRegistry()
+        ring = flight_mod.install(registry)
+        assert flight_mod.ring() is ring
+        assert ring.window == flight_mod.DEFAULT_WINDOW
+        assert timeseries_mod.current() is not None
+        with spans_mod.Span("flight.test", registry):
             pass
-        recorder = flight_mod.recorder()
-        assert recorder is not None
-        assert any(s[0] == "flight.test" for s in recorder.spans())
-        flight_mod.disable()
-        assert spans_mod.flight_sink() is None
+        assert any(s[0] == "flight.test" for s in ring.spans())
+        spans_mod.set_trace_sink(None)
+        assert flight_mod.ring() is None
 
     def test_disabled_process_record_is_still_bundleable(self):
         registry = MetricsRegistry()
-        record = flight_mod.process_record(registry, role="shard", shard=3)
+        record = flight_mod.process_record(registry)
         assert record["window_seconds"] == 0.0
+        assert record["spans"] == []
         bundle = flight_mod.bundle("wire", [record])
         assert validate_flight_bundle(bundle) == []
 
@@ -151,17 +159,16 @@ class TestFlightRecorder:
             "schema": FLIGHT_SCHEMA,
             "reason": "manual",
             "generated_at": 0.0,
-            "processes": [{"pid": "x", "role": "pilot"}],
+            "processes": [{"pid": "x", "spans": "none"}],
         }
         problems = validate_flight_bundle(bad_proc)
         assert any("pid" in p for p in problems)
-        assert any("role" in p for p in problems)
+        assert any("spans" in p for p in problems)
 
     def test_check_flight_reason_and_process_floor(self):
-        recorder = FlightRecorder()
         registry = MetricsRegistry()
-        bundle = recorder.bundle(
-            "manual", [recorder.process_record(registry)]
+        bundle = flight_mod.bundle(
+            "manual", [flight_mod.process_record(registry)]
         )
         assert check_flight(bundle, reason="deadline-burst") != []
         assert check_flight(bundle, min_processes=2) != []

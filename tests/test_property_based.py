@@ -14,6 +14,7 @@ from repro.baselines.bruteforce import path_set
 from repro.core.construction import build_index
 from repro.core.distance import DistanceMap
 from repro.core.enumeration import (
+    count_by_pair,
     count_full,
     enumerate_full,
     enumerate_full_list,
@@ -26,7 +27,6 @@ from repro.core.plan import balanced_plan
 from repro.core.serialize import restore, snapshot
 from repro.core.verify import verify_enumerator
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
-from repro.obs.explain import recording
 
 SETTINGS = settings(
     max_examples=60,
@@ -460,8 +460,9 @@ JOIN_ENTRY_POINTS = {
 
 
 def check_join_modes(graph, cpe):
-    """Every entry point under obs off / on / EXPLAIN: same answer, equal
-    to brute force, and per-pair accounting equal to the recount."""
+    """Every entry point under obs off / on: same answer, equal to brute
+    force, and per-pair accounting (obs counters, the program's totals
+    and :func:`count_by_pair`) equal to the recount."""
     index = cpe.index
     reference = enumerate_full_list(index)
     assert len(reference) == len(set(reference))
@@ -502,12 +503,17 @@ def check_join_modes(graph, cpe):
             len(live), sum(counts[2] for counts in live.values())
         )
 
-        with recording() as rec:
-            assert run(index) == want, name
-        assert [
-            (p.i, p.j, p.cut_vertices, p.probes, p.emitted)
-            for p in rec.join_pairs
-        ] == [(i, j) + recount[(i, j)] for i, j in index.plan]
+    # Per plan pair, zeros where a pair has no program step.
+    steps = {
+        (step.i, step.j): (step.cut_vertices, step.probe_total)
+        for step in index.packed_program()
+    }
+    by_pair = count_by_pair(index)
+    assert set(by_pair) == set(live)
+    assert [
+        (i, j) + steps.get((i, j), (0, 0)) + (by_pair.get((i, j), 0),)
+        for i, j in index.plan
+    ] == [(i, j) + recount[(i, j)] for i, j in index.plan]
 
 
 @pytest.mark.parametrize(

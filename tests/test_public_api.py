@@ -13,7 +13,6 @@ PUBLIC_MODULES = [
     "repro",
     "repro.graph",
     "repro.graph.digraph",
-    "repro.graph.frozen",
     "repro.graph.generators",
     "repro.graph.io",
     "repro.graph.stats",

@@ -275,7 +275,7 @@ class TestAdmissionOverTheWire:
 class TestDeadlineBurstDump:
     def test_deadline_misses_write_one_burst_dump(self, tmp_path):
         graph = DynamicDiGraph([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
-        engine = PathQueryEngine(graph, default_k=3, flight_window=30.0)
+        engine = PathQueryEngine(graph, default_k=3)
         dumps = []
 
         def write_dump(reason, bundle):
@@ -303,7 +303,6 @@ class TestDeadlineBurstDump:
                 client.stats()
         finally:
             handle.stop()
-            engine.close()
         assert dumps == ["deadline-burst"]
         assert [p.name for p in tmp_path.iterdir()] == [target.name]
         bundle = json.loads(target.read_text(encoding="utf-8"))

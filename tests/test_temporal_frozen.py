@@ -1,23 +1,16 @@
-"""Tests for the temporal stream substrate and the frozen graph view."""
+"""Tests for the temporal stream substrate."""
 
 import random
 
 import pytest
 
-from repro.baselines.bruteforce import path_set
-from repro.baselines.pathenum import PathEnumEnumerator
-from repro.baselines.tdfs import TDfsEnumerator
-from repro.core.construction import build_index
-from repro.core.enumeration import enumerate_full
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.frozen import FrozenDiGraph
 from repro.graph.temporal import (
     TemporalEdge,
     bursty_stream,
     poisson_stream,
     replay_window,
 )
-from tests.conftest import make_random_graph, random_query
 
 
 class TestPoissonStream:
@@ -97,50 +90,3 @@ class TestReplayWindow:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             list(replay_window(DynamicDiGraph(), [], window=0.0))
-
-
-class TestFrozenDiGraph:
-    def test_read_api_matches_source(self):
-        rng = random.Random(6)
-        g = make_random_graph(rng, max_edges=20)
-        frozen = FrozenDiGraph(g)
-        assert frozen.num_vertices == g.num_vertices
-        assert frozen.num_edges == g.num_edges
-        assert set(frozen.edges()) == set(g.edges())
-        for v in g.vertices():
-            assert set(frozen.out_neighbors(v)) == set(g.out_neighbors(v))
-            assert set(frozen.in_neighbors(v)) == set(g.in_neighbors(v))
-            assert frozen.degree(v) == g.degree(v)
-
-    def test_snapshot_is_independent(self):
-        g = DynamicDiGraph([(0, 1)])
-        frozen = FrozenDiGraph(g)
-        g.add_edge(1, 2)
-        assert not frozen.has_edge(1, 2)
-
-    def test_no_mutation_api(self):
-        frozen = FrozenDiGraph(DynamicDiGraph([(0, 1)]))
-        assert not hasattr(frozen, "add_edge")
-        assert not hasattr(frozen, "remove_edge")
-
-    def test_thaw_round_trip(self):
-        g = DynamicDiGraph([(0, 1), (1, 2)], vertices=[9])
-        assert FrozenDiGraph(g).thaw() == g
-
-    def test_reverse_view(self):
-        frozen = FrozenDiGraph(DynamicDiGraph([(0, 1)]))
-        r = frozen.reverse_view()
-        assert r.has_edge(1, 0)
-        assert set(r.out_neighbors(1)) == {0}
-
-    def test_static_enumerators_accept_frozen(self):
-        rng = random.Random(7)
-        for _ in range(15):
-            g = make_random_graph(rng, max_edges=16)
-            s, t, k = random_query(rng, g)
-            frozen = FrozenDiGraph(g)
-            want = path_set(g, s, t, k)
-            assert set(TDfsEnumerator(frozen, s, t, k).paths()) == want
-            assert set(PathEnumEnumerator(frozen, s, t, k).paths()) == want
-            built = build_index(frozen, s, t, k)
-            assert set(enumerate_full(built.index)) == want
