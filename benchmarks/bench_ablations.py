@@ -108,7 +108,8 @@ def bench_ablation_complete_vs_strict_repair(benchmark, workload, config):
             working, built.index, built.dist_s, built.dist_t
         )
         for upd in updates:
-            maintainer.insert_edge(upd.u, upd.v)
+            if working.add_edge(upd.u, upd.v):
+                maintainer.insert_edge(upd.u, upd.v)
 
     benchmark.pedantic(run_inserts, rounds=3, iterations=1)
 

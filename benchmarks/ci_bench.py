@@ -242,9 +242,9 @@ def run_ci_answers() -> dict:
     returns every enumerated path: the startup answer per query, the
     per-update applied count over the forward update stream, and the
     post-stream answer for the maintained query — plus the cache stream
-    of :func:`run_cache_answers`.  Two builds that claim to be
-    equivalent (e.g. the numpy fast path vs the pure-array fallback)
-    must produce byte-identical ``--answers-out`` files — paths, order,
+    of :func:`run_cache_answers`.  Two runs that claim to be
+    equivalent (e.g. the same commit under two Python versions) must
+    produce byte-identical ``--answers-out`` files — paths, order,
     cache outcomes and counters all.
     """
     graph = datasets.load(DATASET, SCALE)

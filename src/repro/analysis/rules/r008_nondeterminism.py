@@ -1,8 +1,8 @@
 """R008 — nondeterminism sources reachable from equivalence-gated code.
 
 The algorithm layer (``repro.core``) is gated on *byte-identical*
-answers: CI diffs the fixed-seed benchmark's answers across the numpy
-and no-numpy legs.  One stray wall-clock read, unseeded ``random``
+answers: CI diffs the fixed-seed benchmark's answers across Python
+versions.  One stray wall-clock read, unseeded ``random``
 call, ``uuid1/uuid4`` mint, unsorted directory listing, or
 ``id()``-based ordering anywhere in ``repro.core`` — **or in any
 function it reaches through the call graph** — breaks that gate

@@ -714,10 +714,6 @@ def _cmd_explain(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(rendered)
-    if args.analyze and report.record.invariant_ok() is False:
-        print("error: join-pair emit total does not match the enumerated "
-              "path count", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -11,9 +11,10 @@ off in two situations the paper's applications hit:
    per batch only needs the *net* new/deleted paths, with intra-batch
    appear-then-disappear pairs cancelled.
 
-:func:`compress_stream` computes the net edge updates of a batch, and
-:func:`CpeBatch.apply` runs a batch through an enumerator, returning the
-cancelled net path delta.
+:func:`compress_stream` computes the net edge updates of a batch,
+:class:`NetDelta` cancels a batch's paths to its net path delta, and
+:func:`CpeBatch.apply` runs a batch through an enumerator, returning
+that delta.
 """
 
 from __future__ import annotations
@@ -83,6 +84,41 @@ class BatchResult:
         return len(self.new_paths) - len(self.deleted_paths)
 
 
+class NetDelta:
+    """The net path change of a sequence of updates.
+
+    Fold each update's changed paths in order: a path that appears and
+    then disappears within the sequence (or the reverse) cancels.
+    """
+
+    __slots__ = ("new", "deleted")
+
+    def __init__(self) -> None:
+        self.new: Set[Path] = set()
+        self.deleted: Set[Path] = set()
+
+    def fold(self, insert: bool, paths: Iterable[Path]) -> None:
+        """Fold in one update's paths: new ones for an insertion,
+        deleted ones for a deletion."""
+        gained, lost = (
+            (self.new, self.deleted) if insert else (self.deleted, self.new)
+        )
+        for path in paths:
+            if path in lost:
+                lost.discard(path)
+            else:
+                gained.add(path)
+
+    def ordered(self) -> Tuple[List[Path], List[Path]]:
+        """The net new and net deleted paths, each sorted by length,
+        then ``repr``."""
+        return _ordered(self.new), _ordered(self.deleted)
+
+
+def _ordered(paths: Set[Path]) -> List[Path]:
+    return sorted(paths, key=lambda p: (len(p), repr(p)))
+
+
 class CpeBatch:
     """Batch application of update streams to a :class:`CpeEnumerator`."""
 
@@ -101,34 +137,20 @@ class CpeBatch:
         else:
             effective = updates
 
-        net_new: Set[Path] = set()
-        net_deleted: Set[Path] = set()
+        net = NetDelta()
         for update in effective:
             outcome = self.enumerator.apply(update)
             result.per_update.append(outcome)
             result.applied += 1
-            if update.insert:
-                for path in outcome.paths:
-                    if path in net_deleted:
-                        net_deleted.discard(path)
-                    else:
-                        net_new.add(path)
-            else:
-                for path in outcome.paths:
-                    if path in net_new:
-                        net_new.discard(path)
-                    else:
-                        net_deleted.add(path)
-        result.new_paths = sorted(net_new, key=lambda p: (len(p), repr(p)))
-        result.deleted_paths = sorted(
-            net_deleted, key=lambda p: (len(p), repr(p))
-        )
+            net.fold(update.insert, outcome.paths)
+        result.new_paths, result.deleted_paths = net.ordered()
         return result
 
 
 __all__ = [
     "Edge",
     "compress_stream",
+    "NetDelta",
     "BatchResult",
     "CpeBatch",
 ]

@@ -15,19 +15,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.core.index import JoinStep, PartialPathIndex, PathBuckets
 from repro.core.paths import Path
-from repro.graph.npcompat import get_numpy
-
-#: Probe-count floor under which the blocked numpy probe is not worth
-#: its per-bucket call overhead (the scalar int-AND loop wins).
-_NP_PROBE_MIN = 4096
-
-#: Byte cap on one numpy AND block (left rows are chunked to stay under).
-_NP_BLOCK_BYTES = 1 << 24
 
 
 def enumerate_full(index: PartialPathIndex) -> Iterator[Path]:
@@ -50,10 +42,7 @@ def enumerate_full(index: PartialPathIndex) -> Iterator[Path]:
 def enumerate_full_list(index: PartialPathIndex) -> List[Path]:
     """:func:`enumerate_full` materialized — the throughput fast path.
 
-    Same paths, same order, without a generator frame per path; on
-    buckets whose probe count reaches :data:`_NP_PROBE_MIN` and with
-    numpy available, the mask test runs as a blocked ``uint64`` matrix
-    AND over the bucket's word matrices instead of a scalar loop.
+    Same paths, same order, without a generator frame per path.
     """
     out: List[Path] = [(index.s, index.t)] if index.direct_edge else []
     for _emitted in _join(index, out):
@@ -94,11 +83,7 @@ def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
     append = sink.append
     program = index.packed_program()
     emits: List[int] = []
-    # The numpy lookup re-reads the fallback env var, so defer it until
-    # a bucket is actually big enough to want the block probe.
-    np: Any = None
-    np_checked = False
-    for _i, _j, _cut, _probes, flat, buckets, words in program:
+    for _i, _j, _cut, _probes, flat, buckets in program:
         before = len(sink)
         hits = 0
         if flat is not None:
@@ -115,16 +100,6 @@ def _join(index: PartialPathIndex, out: Optional[List[Path]]) -> Iterator[int]:
                     if (lmask & rmask) == vcbit
                 ]
         for vcbit, lmasks, lpaths, rpairs in buckets:
-            if len(lmasks) * len(rpairs) >= _NP_PROBE_MIN:
-                if not np_checked:
-                    np = get_numpy()
-                    np_checked = True
-                if np is not None:
-                    hits += _np_block_probe(
-                        np, None if counting else sink, words,
-                        vcbit, lmasks, lpaths, rpairs,
-                    )
-                    continue
             # Nested loops, not comprehensions: most buckets are small,
             # and a comprehension call per bucket costs more than it saves.
             if counting:
@@ -152,59 +127,6 @@ def _record(
         obs.incr(f"enumeration.join.{step.i}x{step.j}.paths", emitted)
         obs.observe("enumeration.join_pair_output", emitted)
     obs.incr("enumeration.paths", int(index.direct_edge) + sum(emits))
-
-
-def _np_block_probe(
-    np: Any,
-    out: Optional[List[Path]],
-    words: Dict[int, Any],
-    vcbit: int,
-    lmasks: List[int],
-    lpaths: List[Path],
-    rpairs: List[Tuple[int, Path]],
-) -> int:
-    """Blocked vectorized mask probe for one large cut-vertex bucket.
-
-    The bucket's masks become little-endian ``uint64`` word matrices on
-    the first probe; ``words`` (the step's cache, keyed by ``vcbit``)
-    keeps them for the program's lifetime.  Emits exactly what the
-    scalar loop emits, in the same (row-major) order: hit indexes come
-    from ``nonzero`` on the per-block equality matrix, which scans rows
-    (left paths) then columns (right paths).  With ``out=None`` it only
-    counts the hit matrix.  Returns the hit count.
-    """
-    matrices = words.get(vcbit)
-    if matrices is None:
-        rmasks = [rmask for rmask, _rtail in rpairs]
-        width = (max(max(lmasks), max(rmasks)).bit_length() + 63) // 64
-        matrices = words[vcbit] = (
-            _word_matrix(np, lmasks, width),
-            _word_matrix(np, rmasks, width),
-            _word_matrix(np, [vcbit], width)[0],
-        )
-    lwords, rwords, target = matrices
-    width = target.shape[0]
-    hit_count = 0
-    rows_per_block = max(1, _NP_BLOCK_BYTES // (8 * width * len(rpairs)))
-    for block_start in range(0, len(lmasks), rows_per_block):
-        block = lwords[block_start:block_start + rows_per_block]
-        hits = ((block[:, None, :] & rwords[None, :, :]) == target).all(axis=2)
-        if out is None:
-            hit_count += int(np.count_nonzero(hits))
-            continue
-        li_idx, ri_idx = hits.nonzero()
-        hit_count += len(li_idx)
-        append = out.append
-        for a, b in zip(li_idx.tolist(), ri_idx.tolist()):
-            append(lpaths[block_start + a] + rpairs[b][1])
-    return hit_count
-
-
-def _word_matrix(np: Any, masks: List[int], width: int) -> Any:
-    """``masks`` as an ``(n, width)`` little-endian ``uint64`` matrix."""
-    nbytes = width * 8
-    data = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
 
 
 def enumerate_delta(

@@ -205,16 +205,38 @@ class CpeEnumerator:
     # ------------------------------------------------------------------
     def insert_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
         """Process ``e(u, v, +)`` and return exactly the new k-st paths."""
-        return self._update(EdgeUpdate(u, v, True), False)
+        return self.apply(EdgeUpdate(u, v, True))
 
     def delete_edge(self, u: Vertex, v: Vertex) -> UpdateResult:
         """Process ``e(u, v, -)`` and return exactly the deleted paths."""
-        return self._update(EdgeUpdate(u, v, False), False)
+        return self.apply(EdgeUpdate(u, v, False))
 
-    def _update(
-        self, update: EdgeUpdate, graph_already_updated: bool
-    ) -> UpdateResult:
-        """Repair the index for one update and run its update enumeration.
+    def apply(self, update: EdgeUpdate) -> UpdateResult:
+        """Process one :class:`~repro.graph.digraph.EdgeUpdate`: apply it
+        to the graph, then :meth:`observe` it.  An update that leaves the
+        graph as it was (edge already present / already absent) changes
+        nothing."""
+        if not self.graph.apply_update(update):
+            return UpdateResult(
+                update,
+                changed=False,
+                record=UpdateRecord(update.insert, changed=False),
+            )
+        return self.observe(update)
+
+    # ------------------------------------------------------------------
+    # Shared-graph observation (multi-query monitoring)
+    # ------------------------------------------------------------------
+    def observe(self, update: EdgeUpdate) -> UpdateResult:
+        """Repair the index for an update already applied to the graph.
+
+        When several enumerators monitor different ``(s, t)`` pairs over
+        *one shared graph* (see
+        :class:`repro.core.monitor.MultiPairMonitor`), exactly one party
+        mutates the graph; every enumerator then ``observe``s the update
+        to bring its own index and distance maps up to date and collect
+        its changed paths.  Raises :class:`ValueError` if the graph does
+        not reflect the update.
 
         An update that fails the relevance test (``record.relevant`` is
         False) repaired only the distance maps: its deltas are empty, so
@@ -226,10 +248,8 @@ class CpeEnumerator:
             if update.insert
             else self._maintainer.delete_edge
         )
-        record = repair(update.u, update.v, graph_already_updated)
+        record = repair(update.u, update.v)
         maintained = time.perf_counter()
-        if not record.changed:
-            return UpdateResult(update, changed=False, record=record)
         if not record.relevant:
             return self._note_update(UpdateResult(
                 update,
@@ -273,28 +293,6 @@ class CpeEnumerator:
                     result.record.delta_partial_paths,
                 )
         return result
-
-    def apply(self, update: EdgeUpdate) -> UpdateResult:
-        """Process one :class:`~repro.graph.digraph.EdgeUpdate`."""
-        if update.insert:
-            return self.insert_edge(update.u, update.v)
-        return self.delete_edge(update.u, update.v)
-
-    # ------------------------------------------------------------------
-    # Shared-graph observation (multi-query monitoring)
-    # ------------------------------------------------------------------
-    def observe(self, update: EdgeUpdate) -> UpdateResult:
-        """Repair the index for an update already applied to the graph.
-
-        When several enumerators monitor different ``(s, t)`` pairs over
-        *one shared graph* (see
-        :class:`repro.core.monitor.MultiPairMonitor`), exactly one party
-        mutates the graph; every enumerator then ``observe``s the update
-        to bring its own index and distance maps up to date and collect
-        its changed paths.  Raises :class:`ValueError` if the graph does
-        not reflect the update.
-        """
-        return self._update(update, True)
 
     def apply_stream(self, updates) -> List[UpdateResult]:
         """Process a sequence of updates, one result per update."""

@@ -73,7 +73,7 @@ ProbeStep = Tuple[int, Path, int, Path, int]
 #: probe count stays under this is stored as one flat probe list (one
 #: tuple per ``(lp, rp)`` combination, in emission order), so the join
 #: runs as a single comprehension; bigger steps keep the per-bucket
-#: nested layout (and qualify for the numpy block probe instead).
+#: nested layout.
 PACK_FLAT_STEP_MAX = 4096
 
 
@@ -95,9 +95,6 @@ class JoinStep(NamedTuple):
     flat: Optional[List[ProbeStep]]
     #: Per-cut-vertex buckets (big steps; empty when ``flat`` is used).
     buckets: List[BucketStep]
-    #: The numpy block probe's word matrices, keyed by a big bucket's vc
-    #: bit and filled on first use, so a program builds each once.
-    words: Dict[int, Any]
 
 
 class PathBuckets:
@@ -440,7 +437,7 @@ class PartialPathIndex:
                         [(right_masks[p], p[1:]) for p in right_bucket[vc]],
                     ))
             program.append(JoinStep(
-                i, j, len(middles), probe_total, flat, buckets, {},
+                i, j, len(middles), probe_total, flat, buckets,
             ))
         self._program = (
             left,

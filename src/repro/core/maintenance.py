@@ -123,10 +123,11 @@ class IndexMaintainer:
     """Keeps a :class:`PartialPathIndex` exact under edge updates.
 
     The maintainer owns the update logic only; the caller (normally
-    :class:`repro.core.enumerator.CpeEnumerator`) mutates the graph
-    through :meth:`insert_edge` / :meth:`delete_edge`, runs the update
-    enumeration on the returned record, and — for deletions — applies
-    the pending removals with :meth:`apply_removals` afterwards.
+    :class:`repro.core.enumerator.CpeEnumerator`) applies the update to
+    the graph, repairs through :meth:`insert_edge` / :meth:`delete_edge`,
+    runs the update enumeration on the returned record, and — for
+    deletions — applies the pending removals with :meth:`apply_removals`
+    afterwards.
     """
 
     def __init__(
@@ -149,24 +150,17 @@ class IndexMaintainer:
     # ==================================================================
     # Insertion
     # ==================================================================
-    def insert_edge(
-        self, u: Vertex, v: Vertex, graph_already_updated: bool = False
-    ) -> UpdateRecord:
-        """Apply ``e(u, v, +)``: mutate the graph, repair the index.
+    def insert_edge(self, u: Vertex, v: Vertex) -> UpdateRecord:
+        """Repair the index for ``e(u, v, +)``, already in the graph.
 
         Returns the record of added partial paths; additions are already
         applied to the index when this returns (the update enumeration
-        for insertions runs against the post-addition index).
-
-        ``graph_already_updated=True`` skips the graph mutation — used
-        when several maintainers share one graph (multi-query
-        monitoring) and the edge was inserted by an earlier one.
+        for insertions runs against the post-addition index).  The
+        maintainer never mutates the graph: its owner applies the
+        update once, then every maintainer on that graph repairs.
         """
-        if graph_already_updated:
-            if not self.graph.has_edge(u, v):
-                raise ValueError(f"edge ({u!r}, {v!r}) is not in the graph")
-        elif not self.graph.add_edge(u, v):
-            return UpdateRecord(insert=True, changed=False)
+        if not self.graph.has_edge(u, v):
+            raise ValueError(f"edge ({u!r}, {v!r}) is not in the graph")
         if u == v:  # self-loops never occur in simple paths
             return UpdateRecord(insert=True, changed=True)
         uid, vid = self._ids[u], self._ids[v]
@@ -422,23 +416,16 @@ class IndexMaintainer:
     # ==================================================================
     # Deletion
     # ==================================================================
-    def delete_edge(
-        self, u: Vertex, v: Vertex, graph_already_updated: bool = False
-    ) -> UpdateRecord:
-        """Apply ``e(u, v, -)``: mutate graph and distances, record removals.
+    def delete_edge(self, u: Vertex, v: Vertex) -> UpdateRecord:
+        """Repair the distances for ``e(u, v, -)``, already out of the
+        graph, and record the index's removals.
 
         The removal records in the returned :class:`UpdateRecord` are
         **not yet applied** to the index — run the update enumeration
         first, then call :meth:`apply_removals`.
-
-        ``graph_already_updated=True`` skips the graph mutation (shared
-        graph, edge already removed by an earlier maintainer).
         """
-        if graph_already_updated:
-            if self.graph.has_edge(u, v):
-                raise ValueError(f"edge ({u!r}, {v!r}) is still in the graph")
-        elif not self.graph.remove_edge(u, v):
-            return UpdateRecord(insert=False, changed=False)
+        if self.graph.has_edge(u, v):
+            raise ValueError(f"edge ({u!r}, {v!r}) is still in the graph")
         if u == v:  # self-loops never occur in simple paths
             return UpdateRecord(insert=False, changed=True)
         uid, vid = self._ids[u], self._ids[v]

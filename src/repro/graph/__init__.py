@@ -11,13 +11,10 @@ graph library, implemented from scratch:
 - :mod:`repro.graph.datasets` — the registry of scaled analogues of the
   paper's fourteen evaluation datasets;
 - :mod:`repro.graph.interning` — the dense-int vertex id space backing
-  the flat-array hot paths;
-- :mod:`repro.graph.npcompat` — the optional-numpy switch for the bulk
-  array fast paths.
+  the flat-array hot paths.
 """
 
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
 from repro.graph.interning import VertexInterner
-from repro.graph.npcompat import numpy_available
 
-__all__ = ["DynamicDiGraph", "EdgeUpdate", "VertexInterner", "numpy_available"]
+__all__ = ["DynamicDiGraph", "EdgeUpdate", "VertexInterner"]

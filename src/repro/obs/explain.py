@@ -14,8 +14,7 @@ what it cost* — in the spirit of a database ``EXPLAIN``:
   estimated output cardinality (``Σ_v |LP_i(v)|·|RP_j(v)|`` over shared
   middle vertices — an upper bound that ignores the disjointness
   filter), and — under ANALYZE — the actual probe and emit counts,
-  with the invariant that per-pair emits (plus the direct edge) sum to
-  the enumerated k-st path total.
+  whose sum (plus the direct edge) is the k-st path total.
 
 Every number is read off a record the serving code already keeps, so
 an explained query runs exactly the code that serves it: the cut
@@ -132,22 +131,6 @@ class ExplainRecord:
         """The chosen ``(l, r)`` with ``l + r = k`` (``(0, 0)`` if unset)."""
         return self.plan_pairs[-1] if self.plan_pairs else (0, 0)
 
-    def emitted_total(self) -> Optional[int]:
-        """Per-pair emits plus the direct edge; ``None`` before ANALYZE."""
-        if not self.join_pairs and self.total_paths is None:
-            return None
-        emitted = sum(pair.emitted for pair in self.join_pairs)
-        return emitted + (1 if self.direct_edge else 0)
-
-    def invariant_ok(self) -> Optional[bool]:
-        """Whether per-pair emits sum to the enumerated total.
-
-        ``None`` when ANALYZE has not run (nothing to check).
-        """
-        if self.total_paths is None:
-            return None
-        return self.emitted_total() == self.total_paths
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready view of the whole record."""
         out: Dict[str, Any] = {
@@ -167,8 +150,6 @@ class ExplainRecord:
             out["join_pairs"] = [pair.as_dict() for pair in self.join_pairs]
         if self.total_paths is not None:
             out["total_paths"] = self.total_paths
-            out["emitted_total"] = self.emitted_total()
-            out["invariant_ok"] = self.invariant_ok()
         return out
 
 
@@ -263,15 +244,10 @@ class ExplainReport:
                     row += f"  {pair.probes:>6}  {pair.emitted:>7}"
                 lines.append(row)
         if rec.total_paths is not None:
-            emitted = rec.emitted_total()
-            ok = rec.invariant_ok()
+            # The total is the join's emits plus the direct edge.
             lines.append(
                 f"total paths: {rec.total_paths} "
-                f"(join emits {emitted} incl. direct edge)"
-            )
-            lines.append(
-                "invariant emit-total == path-total: "
-                + ("ok" if ok else "VIOLATED")
+                f"(join emits {rec.total_paths} incl. direct edge)"
             )
         lines.append(
             f"timings: construction {self.construction_seconds * 1e3:.3f} ms"
@@ -311,7 +287,7 @@ def explain_query(
     Always builds the index (the index *is* the plan — construction is
     the cheap part by design); with ``analyze=True`` additionally runs
     the full join so the report carries actual per-pair probe/emit
-    cardinalities and the invariant check.
+    cardinalities and the path total.
     """
     from repro.core.construction import build_index
 

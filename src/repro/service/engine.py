@@ -30,21 +30,22 @@ requests — the server layer only ever encodes.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from typing import (
     Any,
     Callable,
+    DefaultDict,
     Dict,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from repro import obs
 from repro.obs import events, flight, timeseries
 from repro.obs.explain import explain_query
-from repro.core.batch import compress_stream
+from repro.core.batch import NetDelta, compress_stream
 from repro.core.monitor import MultiPairMonitor, PairKey
 from repro.core.paths import Path
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate, Vertex
@@ -250,8 +251,7 @@ class PathQueryEngine:
         """
         stream = [EdgeUpdate(u, v, insert) for u, v, insert in updates]
         effective = compress_stream(self.graph, stream)
-        net_new: Dict[PairKey, Set[Path]] = {}
-        net_deleted: Dict[PairKey, Set[Path]] = {}
+        net: DefaultDict[PairKey, NetDelta] = defaultdict(NetDelta)
         applied = 0
         for update in effective:
             deltas = self._apply_one(update)
@@ -259,27 +259,12 @@ class PathQueryEngine:
                 continue
             applied += 1
             for pair, paths in deltas.items():
-                new = net_new.setdefault(pair, set())
-                deleted = net_deleted.setdefault(pair, set())
-                for path in paths:
-                    if update.insert:
-                        if path in deleted:
-                            deleted.discard(path)
-                        else:
-                            new.add(path)
-                    else:
-                        if path in new:
-                            new.discard(path)
-                        else:
-                            deleted.add(path)
+                net[pair].fold(update.insert, paths)
         self._updates_applied += applied
         self._updates_cancelled += len(stream) - len(effective)
         pairs = []
         for pair in self.monitor.pairs():
-            new = sorted(net_new.get(pair, ()), key=lambda p: (len(p), repr(p)))
-            deleted = sorted(
-                net_deleted.get(pair, ()), key=lambda p: (len(p), repr(p))
-            )
+            new, deleted = net[pair].ordered()
             if not new and not deleted:
                 continue
             pairs.append(

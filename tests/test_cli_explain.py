@@ -6,6 +6,8 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core.enumerator import CpeEnumerator
+from repro.graph import datasets
 from repro.obs import events
 from repro.obs.trace import validate_chrome_trace
 from repro.service.engine import PathQueryEngine
@@ -19,7 +21,7 @@ class TestExplainCommand:
         assert "auto-picked query pair" in captured.err
         assert "EXPLAIN ANALYZE" in captured.out
         assert "dynamic cut decisions" in captured.out
-        assert "invariant emit-total == path-total: ok" in captured.out
+        assert "total paths: " in captured.out
 
     def test_explicit_pair_without_analyze(self, capsys):
         assert main(["explain", "RT", "0", "5", "4", "--scale", "0.25"]) == 0
@@ -35,7 +37,8 @@ class TestExplainCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-explain/1"
         assert payload["query"] == {"s": 0, "t": 5, "k": 4}
-        assert payload["invariant_ok"] is True
+        cpe = CpeEnumerator(datasets.load("RT", 0.25), 0, 5, 4)
+        assert payload["total_paths"] == cpe.count_paths()
 
     def test_trace_format_writes_valid_chrome_trace(self, tmp_path, capsys):
         out_file = tmp_path / "trace.json"

@@ -1,8 +1,8 @@
 """Tests for :mod:`repro.obs.explain` — per-query EXPLAIN/ANALYZE.
 
 The reports must agree with the algorithms they describe: the recorded
-cut sums to k, the per-pair emit counts sum to the enumerated path
-total (the ANALYZE invariant), and the frontier-cost estimates bound
+cut sums to k, the ANALYZE path total equals the enumerator's path
+count (the ANALYZE invariant), and the frontier-cost estimates bound
 the measured join output from above (they ignore disjointness).  They
 are read off the records a build and a join keep, so the core imports
 no EXPLAIN code and explaining a query changes no obs metric.
@@ -32,7 +32,7 @@ PIN_EDGES = [
 ]
 
 #: Keys an ANALYZE report adds to an EXPLAIN report.
-ANALYZE_KEYS = ("join_pairs", "total_paths", "emitted_total", "invariant_ok")
+ANALYZE_KEYS = ("join_pairs", "total_paths")
 
 
 def _cut(step, side, left, right, forced=False):
@@ -62,11 +62,11 @@ PINNED_ANALYZE = {
     0: {**_header(0), "cut": {"split": [0, 0], "steps": []},
         "levels": [], "plan": [], "estimates": [],
         "buckets": {"left": {}, "right": {}, "direct_edge": False},
-        "total_paths": 0, "emitted_total": 0, "invariant_ok": True},
+        "total_paths": 0},
     1: {**_header(1), "cut": {"split": [0, 0], "steps": []},
         "levels": [], "plan": [], "estimates": [],
         "buckets": {"left": {}, "right": {}, "direct_edge": True},
-        "total_paths": 1, "emitted_total": 1, "invariant_ok": True},
+        "total_paths": 1},
     6: {**_header(6),
         "cut": {"split": [2, 4], "steps": [
             _cut(3, "left", 2, 3), _cut(4, "right", 3, 3),
@@ -93,7 +93,7 @@ PINNED_ANALYZE = {
             _pair(2, 2, 1, 1, 1), _pair(2, 3, 0, 0, 0),
             _pair(2, 4, 0, 0, 0),
         ],
-        "total_paths": 5, "emitted_total": 5, "invariant_ok": True},
+        "total_paths": 5},
 }
 
 #: The record part of an ANALYZE run over a build with this forced plan.
@@ -115,7 +115,7 @@ PINNED_FORCED = {
         _pair(1, 1, 1, 1, 1), _pair(1, 2, 2, 2, 2), _pair(2, 2, 1, 1, 1),
         _pair(2, 3, 0, 0, 0), _pair(3, 3, 0, 0, 0),
     ],
-    "total_paths": 5, "emitted_total": 5, "invariant_ok": True,
+    "total_paths": 5,
 }
 
 
@@ -159,14 +159,11 @@ class TestExplain:
     def test_explain_without_analyze_leaves_invariant_open(self, grid):
         record = explain_query(grid, 0, 15, 6).record
         assert record.total_paths is None
-        assert record.invariant_ok() is None
         assert record.join_pairs == []
 
     def test_analyze_invariant_holds(self, grid):
         report = explain_query(grid, 0, 15, 6, analyze=True)
         record = report.record
-        assert record.invariant_ok() is True
-        assert record.emitted_total() == record.total_paths
         expected = len(CpeEnumerator(grid, 0, 15, 6).startup())
         assert record.total_paths == expected
 
@@ -174,7 +171,6 @@ class TestExplain:
         report = explain_query(diamond, 0, 3, 3, analyze=True)
         record = report.record
         assert record.direct_edge is True
-        assert record.invariant_ok() is True
         assert record.total_paths == 3
 
     def test_estimates_bound_measured_output(self, grid):
@@ -188,7 +184,6 @@ class TestExplain:
         graph = DynamicDiGraph([(0, 1), (2, 3)])
         report = explain_query(graph, 0, 3, 4, analyze=True)
         assert report.record.total_paths == 0
-        assert report.record.invariant_ok() is True
 
     def test_rejects_bad_query(self, grid):
         with pytest.raises(ValueError):
@@ -278,7 +273,7 @@ class TestReportRendering:
         assert payload["query"] == {"s": 0, "t": 15, "k": 6}
         assert payload["analyze"] is True
         assert payload["graph"]["num_vertices"] == 16
-        assert payload["invariant_ok"] is True
+        assert payload["total_paths"] == 20
         assert sum(payload["cut"]["split"]) == 6
         json.dumps(payload)  # must be JSON-serializable as-is
 
@@ -288,7 +283,7 @@ class TestReportRendering:
         assert "dynamic cut decisions" in text
         assert "Opt. 1" in text
         assert "join pairs" in text
-        assert "invariant emit-total == path-total: ok" in text
+        assert "total paths: 20 (join emits 20 incl. direct edge)" in text
 
     def test_chrome_trace_round_trip(self, grid):
         previous = obs.set_enabled(True)

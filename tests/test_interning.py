@@ -1,17 +1,19 @@
 """Tests for the interned array substrate.
 
 Covers the dense-int vertex id space (:mod:`repro.graph.interning`),
-the optional-numpy switch (:mod:`repro.graph.npcompat`), the graph's
-dual-plane adjacency, the masks written with the index's paths and the
-join program built from them, and the equivalence of the scalar and
-numpy join probes — the two legs must agree path-for-path, in order.
+the graph's dual-plane adjacency, the masks written with the index's
+paths and the join program built from them, and the equivalence of the
+join's entry points — list, generator and count must agree
+path-for-path, in order, on small steps and on big buckets alike.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-import repro.core.enumeration as enumeration_mod
+import repro
 import repro.core.index as index_mod
 from repro.baselines.bruteforce import path_set
 from repro.core.enumeration import (
@@ -22,7 +24,6 @@ from repro.core.enumeration import (
 from repro.core.enumerator import CpeEnumerator
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.interning import VertexInterner
-from repro.graph.npcompat import NO_NUMPY_ENV, get_numpy, numpy_available
 from tests.conftest import make_random_graph, random_query
 
 
@@ -69,27 +70,6 @@ class TestVertexInterner:
         interner.intern(2)
         assert 1 in interner and 3 not in interner
         assert list(interner) == [1, 2]
-
-
-# ----------------------------------------------------------------------
-# npcompat
-# ----------------------------------------------------------------------
-class TestNpCompat:
-    def test_env_flag_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert get_numpy() is None
-        assert not numpy_available()
-
-    def test_zero_flag_means_enabled(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "0")
-        assert get_numpy() is not None or not numpy_available()
-
-    def test_flag_is_reread_each_call(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert get_numpy() is None
-        monkeypatch.delenv(NO_NUMPY_ENV)
-        numpy = pytest.importorskip("numpy")
-        assert get_numpy() is numpy
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +226,10 @@ class TestPackedLevels:
         assert index.packed_program() is program
 
 
+#: Probes in one cut-vertex bucket that count as a big bucket.
+BIG_BUCKET = 4096
+
+
 def make_hub_graph(rng, width):
     """``s=0 -> x -> hub -> y -> t`` over ``width`` middle vertices that
     serve on both sides (``x == y`` combinations are not simple), plus
@@ -264,7 +248,7 @@ def make_hub_graph(rng, width):
 
 
 # ----------------------------------------------------------------------
-# Join-probe equivalence: generator vs list vs numpy block
+# Join-probe equivalence: generator vs list vs count
 # ----------------------------------------------------------------------
 class TestJoinEquivalence:
     def test_list_variant_matches_generator(self):
@@ -275,52 +259,25 @@ class TestJoinEquivalence:
             cpe = CpeEnumerator(g, s, t, k)
             assert cpe.startup() == list(enumerate_full(cpe.index))
 
-    def test_numpy_block_probe_matches_scalar(self, monkeypatch):
-        pytest.importorskip("numpy")
-        # Run the probe wherever numpy imports, also under REPRO_NO_NUMPY.
-        monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
-        # Graphs whose hub bucket reaches the block probe's threshold
-        # unpatched; the forced pure fallback must emit identical paths
-        # in identical order, and count the same.
-        probe = enumeration_mod._np_block_probe
-        calls = []
-
-        def spy(*args):
-            calls.append(args[3])  # the bucket's vc bit
-            return probe(*args)
-
-        monkeypatch.setattr(enumeration_mod, "_np_block_probe", spy)
+    def test_big_bucket_join_matches_bruteforce(self):
+        # Graphs whose hub bucket holds at least BIG_BUCKET probes under
+        # the default thresholds, so the join runs a bucket step there.
         rng = random.Random(303)
         for _ in range(10):
             width = rng.randint(64, 80)
-            assert width * width >= enumeration_mod._NP_PROBE_MIN
             g, s, t = make_hub_graph(rng, width)
             cpe = CpeEnumerator(g, s, t, 4)
             index = cpe.index
-            calls.clear()
-            blocked = enumerate_full_list(index)
-            assert calls, "the block probe never ran"
-            assert count_full(index) == len(blocked)
-            words = {
-                vcbit: matrices
+            assert any(
+                len(lmasks) * len(rpairs) >= BIG_BUCKET
                 for step in index.packed_program()
-                for vcbit, matrices in step.words.items()
-            }
-            assert set(words) == set(calls)
-            enumerate_full_list(index)  # built once per program
-            assert all(
-                step.words[vcbit] is words[vcbit]
-                for step in index.packed_program()
-                for vcbit in step.words
-            )
-            monkeypatch.setenv(NO_NUMPY_ENV, "1")
-            calls.clear()
-            scalar = enumerate_full_list(index)
-            assert not calls
-            assert count_full(index) == len(scalar)
-            monkeypatch.delenv(NO_NUMPY_ENV)
-            assert blocked == scalar
-            assert set(blocked) == path_set(g, s, t, 4)
+                if step.flat is None
+                for _vcbit, lmasks, _lpaths, rpairs in step.buckets
+            ), "no bucket step holds a big bucket"
+            paths = enumerate_full_list(index)
+            assert list(enumerate_full(index)) == paths
+            assert count_full(index) == len(paths)
+            assert set(paths) == path_set(g, s, t, 4)
 
     def test_update_then_enumerate_matches_fresh_build(self):
         rng = random.Random(77)
@@ -337,3 +294,23 @@ class TestJoinEquivalence:
                     cpe.insert_edge(u, v)
             fresh = CpeEnumerator(g.copy(), s, t, k)
             assert sorted(cpe.startup()) == sorted(fresh.startup())
+
+
+def test_package_never_imports_numpy():
+    """The join runs on ints and lists only: no module of the package
+    imports numpy, so there is no second probe to keep in step."""
+    modules = sorted(Path(repro.__file__).parent.rglob("*.py"))
+    assert any(path.name == "enumeration.py" for path in modules)
+    offenders = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

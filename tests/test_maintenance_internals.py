@@ -80,6 +80,7 @@ class TestUpdateRecord:
 
     def test_apply_removals_rejects_insert_records(self):
         m = make_maintainer([(0, 1), (1, 9)], 0, 9, 3)
+        m.graph.add_edge(0, 9)
         record = m.insert_edge(0, 9)
         with pytest.raises(ValueError):
             m.apply_removals(record)
@@ -89,12 +90,12 @@ class TestObserveValidation:
     def test_observe_insert_requires_edge_present(self):
         m = make_maintainer([(0, 1), (1, 9)], 0, 9, 3)
         with pytest.raises(ValueError, match="not in the graph"):
-            m.insert_edge(5, 6, graph_already_updated=True)
+            m.insert_edge(5, 6)
 
     def test_observe_delete_requires_edge_absent(self):
         m = make_maintainer([(0, 1), (1, 9)], 0, 9, 3)
         with pytest.raises(ValueError, match="still in the graph"):
-            m.delete_edge(0, 1, graph_already_updated=True)
+            m.delete_edge(0, 1)
 
     def test_enumerator_observe_round_trip(self):
         from repro.core.enumerator import CpeEnumerator

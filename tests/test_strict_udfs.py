@@ -20,6 +20,12 @@ def build_pair(graph, s, t, k):
     return strict, default
 
 
+def insert(maintainer, u, v):
+    """Add ``(u, v)`` to the maintainer's graph, then repair for it."""
+    maintainer.graph.add_edge(u, v)
+    return maintainer.insert_edge(u, v)
+
+
 def index_content(maintainer):
     return (
         maintainer.index.left.as_dict(),
@@ -45,8 +51,8 @@ class TestStrictGap:
     def test_strict_misses_the_counterexample_extension(self):
         graph, s, t, k = counterexample()
         strict, default = build_pair(graph, s, t, k)
-        strict.insert_edge(30, 1)
-        default.insert_edge(30, 1)
+        insert(strict, 30, 1)
+        insert(default, 30, 1)
         # the complete repair equals a fresh build ...
         fresh = build_index(default.graph, s, t, k, forced_plan=default.index.plan)
         assert index_content(default) == (
@@ -79,7 +85,7 @@ class TestStrictGap:
                 u, v = rng.sample(list(graph.vertices()), 2)
                 if strict.graph.has_edge(u, v):
                     continue
-                strict.insert_edge(u, v)
+                insert(strict, u, v)
             fresh = build_index(
                 strict.graph, s, t, k, forced_plan=strict.index.plan
             )
@@ -113,8 +119,8 @@ class TestStrictGap:
                 u, v = rng.sample(list(graph.vertices()), 2)
                 if strict.graph.has_edge(u, v):
                     continue
-                strict.insert_edge(u, v)
-                default.insert_edge(u, v)
+                insert(strict, u, v)
+                insert(default, u, v)
             trials += 1
             if index_content(strict) != index_content(default):
                 diverged += 1
