@@ -2,11 +2,12 @@
 
 The service cache's miss path (:mod:`repro.service.cache`) seeds a new
 index build from a live entry's hop-capped BFS map by passing
-``dist_s=`` / ``dist_t=`` into
-:func:`repro.core.construction.build_index`.  The contract (documented
-on ``build_index`` itself) is that an injected map is *owned by the
-returned index's maintainer from then on* — so a master that is reused
-must be passed as a :meth:`~repro.core.distance.DistanceMap.clone`.
+``dist_s=`` into :func:`repro.core.construction.build_index` (the one
+injectable map: ``Dist_t`` is always built, pruned by the pair's own
+``Dist_s``).  The contract (documented on ``build_index`` itself) is
+that an injected map is *owned by the returned index's maintainer from
+then on* — so a master that is reused must be passed as a
+:meth:`~repro.core.distance.DistanceMap.clone`.
 Violating it does not crash: the first update after the build mutates
 every aliased index's distances at once — silently wrong answers that
 only a differential check against brute force catches.
@@ -15,8 +16,8 @@ A single-file linter cannot see this — the master lives in one
 function, the injection in another, often in another module.  R009
 walks the call graph instead:
 
-- every call site of ``build_index`` with a ``dist_s``/``dist_t``
-  argument must pass a **clone-fresh** expression: ``None``, a direct
+- every call site of ``build_index`` with a ``dist_s`` argument must
+  pass a **clone-fresh** expression: ``None``, a direct
   ``.clone()`` call, a fresh ``DistanceMap(...)`` construction, a
   conditional of those, or a local name every assignment of which is
   clone-fresh;
@@ -40,10 +41,10 @@ from repro.analysis.program import CallSite, ProgramFacts
 from repro.analysis.registry import LintContext, Rule, register
 from repro.analysis.visitor import dotted_name
 
-#: The injection target and the positional slots of its dist arguments.
+#: The injection target and the positional slot of its dist argument.
 BUILD_INDEX = "repro.core.construction.build_index"
-_DIST_POSITIONS = {5: "dist_s", 6: "dist_t"}
-_DIST_KEYWORDS = ("dist_s", "dist_t")
+_DIST_POSITIONS = {5: "dist_s"}
+_DIST_KEYWORDS = ("dist_s",)
 
 #: Fully qualified constructors that produce a fresh, unshared map.
 _FRESH_CONSTRUCTORS = ("repro.core.distance.DistanceMap",)
@@ -240,7 +241,7 @@ class DistMapAliasingRule(Rule):
     code = "R009"
     name = "distmap-aliasing"
     description = (
-        "dist_s/dist_t injected into build_index must be None, a fresh "
+        "dist_s injected into build_index must be None, a fresh "
         "DistanceMap, or a .clone() — shared masters (including ones "
         "forwarded through helper parameters) must be cloned first"
     )

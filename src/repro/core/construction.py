@@ -2,14 +2,17 @@
 
 Steps:
 
-1. **Preprocessing** — build the distance maps ``Dist_s`` and
-   ``Dist_t`` with a bidirectional BFS capped at the paper's horizon
-   ``k - 1`` (:func:`map_horizon`; every read compares a distance with
-   a budget of at most ``k - 1``, so ``far = k`` answers each one as the
-   true distance would).  Theorem 4's induced subgraph is implied: a
-   vertex with ``Dist_s[v] + Dist_t[v] > k`` can never pass the
-   per-expansion admissibility test, so the search never leaves
-   ``G_sub`` even though we do not materialize it.
+1. **Preprocessing** — build ``Dist_s`` with a BFS capped at the
+   paper's horizon ``k - 1`` (:func:`map_horizon`; every read compares
+   a distance with a budget of at most ``k - 1``, so ``far = k``
+   answers each one as the true distance would), then ``Dist_t`` as a
+   :class:`~repro.core.distance.JointMap`: a backward BFS from ``t``
+   pruned by ``Dist_s``, exact on Theorem 4's induced subgraph
+   ``G_sub`` and ``far`` elsewhere.  A vertex with
+   ``Dist_s[v] + Dist_t[v] > k`` can never pass the per-expansion
+   admissibility test, so the search never leaves ``G_sub`` even
+   though we do not materialize it, and reading ``far`` there answers
+   every test alike (DESIGN.md §3).
 2. **Bidirectional level search** — grow all admissible left partial
    paths from ``s`` and right partial paths from ``t`` level by level,
    pruning every expansion with *distance pruning* (Optimization 1:
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.distance import MAX_HORIZON, DistanceMap
+from repro.core.distance import MAX_HORIZON, DistanceMap, JointMap
 from repro.core.index import BitSpace, Bucket, PartialPathIndex
 from repro.core.paths import Path
 from repro.core.plan import JoinPlan
@@ -91,7 +94,7 @@ class BuildResult:
 
     index: PartialPathIndex
     dist_s: DistanceMap
-    dist_t: DistanceMap
+    dist_t: JointMap
     stats: ConstructionStats
 
 
@@ -102,7 +105,6 @@ def build_index(
     k: int,
     forced_plan: Optional[JoinPlan] = None,
     dist_s: Optional[DistanceMap] = None,
-    dist_t: Optional[DistanceMap] = None,
 ) -> BuildResult:
     """Construct the partial path index for ``q(s, t, k)``.
 
@@ -111,16 +113,15 @@ def build_index(
     against a fresh build with identical ``(l, r)``, and by ablations to
     measure the dynamic cut's benefit against the fixed ``⌈k/2⌉`` cut.
 
-    ``dist_s`` / ``dist_t`` inject pre-built distance maps and skip the
-    corresponding BFS of the preprocessing step — the hook the service
-    cache's miss path uses to reuse a live entry's map for a shared
-    endpoint.  An injected map must have been built for the
-    matching endpoint and ``horizon=map_horizon(k)`` (``k - 1``) over
-    the current graph state (this is validated for source/horizon;
-    content freshness is the caller's contract), and is owned by the
-    returned index's maintainer from here on: pass a
-    :meth:`~repro.core.distance.DistanceMap.clone` when the master copy
-    is reused.
+    ``dist_s`` injects a pre-built ``Dist_s`` and skips its BFS — the
+    hook the service cache's miss path uses to reuse a live entry's map
+    for a shared source.  It must have been built for ``s`` and
+    ``horizon=map_horizon(k)`` (``k - 1``) over the current graph state
+    (this is validated for source/horizon; content freshness is the
+    caller's contract), and is owned by the returned index's maintainer
+    from here on: pass a :meth:`~repro.core.distance.DistanceMap.clone`
+    when the master copy is reused.  ``Dist_t`` is always built here:
+    it is pruned by this pair's ``Dist_s``, so no other entry's fits.
     """
     if s == t:
         raise ValueError("s and t must differ")
@@ -138,21 +139,13 @@ def build_index(
             f"injected dist_s is for ({dist_s.source!r}, horizon "
             f"{dist_s.horizon}), not ({s!r}, {horizon})"
         )
-    if dist_t is not None and (
-        dist_t.source != t or dist_t.horizon != horizon
-    ):
-        raise ValueError(
-            f"injected dist_t is for ({dist_t.source!r}, horizon "
-            f"{dist_t.horizon}), not ({t!r}, {horizon})"
-        )
 
     stats = ConstructionStats(forced=forced_plan is not None)
     started = time.perf_counter()
     with obs.span("construction.prep"):
         if dist_s is None:
             dist_s = DistanceMap(graph, s, horizon=horizon)
-        if dist_t is None:
-            dist_t = DistanceMap(graph.reverse_view(), t, horizon=horizon)
+        dist_t = JointMap(graph.reverse_view(), t, dist_s)
     stats.prep_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -188,7 +181,7 @@ class _Builder:
         t: Vertex,
         k: int,
         dist_s: DistanceMap,
-        dist_t: DistanceMap,
+        dist_t: JointMap,
         stats: ConstructionStats,
     ) -> None:
         self.graph = graph
@@ -261,7 +254,8 @@ class _Builder:
         """Grow left partial paths from level ``level - 1`` to ``level``."""
         t = self.t
         budget = self.k - level  # max Dist_t[y] an admissible endpoint has
-        # Hot loop: Dist_t[y] is dist[ids[y]] (far beyond the horizon).
+        # Hot loop: Dist_t[y] is dist[ids[y]] (far beyond the horizon and
+        # outside G_sub: Dist_s[y] <= level, so a y outside fails alike).
         dist = self.dist_t.table()
         ids = self.dist_t.interner.ids()
         out_neighbors = self.graph.out_neighbors

@@ -24,7 +24,7 @@ from typing import Iterator, List, Optional
 
 from repro import obs
 from repro.core.construction import BuildResult, ConstructionStats, build_index
-from repro.core.distance import DistanceMap
+from repro.core.distance import DistanceMap, JointMap
 from repro.core.enumeration import (
     count_full,
     enumerate_delta,
@@ -46,6 +46,8 @@ class UpdateResult:
     *deleted* ones for a deletion.  ``maintain_seconds`` is the index
     maintenance cost and ``enumerate_seconds`` the update-enumeration
     cost — their sum is the paper's ``CPE_update`` running time.
+    ``record`` is the maintainer's record; an update that left the
+    graph as it was (``changed=False``) has none.
     """
 
     update: EdgeUpdate
@@ -118,8 +120,8 @@ class CpeEnumerator:
 
         Unlike :meth:`from_parts` the construction statistics are kept,
         so an enumerator assembled from an external build (e.g. the
-        service cache's miss path, which injects distance maps cloned
-        from live entries) is indistinguishable from one built by
+        service cache's miss path, which injects a ``Dist_s`` cloned
+        from a live entry) is indistinguishable from one built by
         ``__init__``.
         """
         self = cls.from_parts(graph, build.index, build.dist_s, build.dist_t)
@@ -132,13 +134,14 @@ class CpeEnumerator:
         graph: DynamicDiGraph,
         index: PartialPathIndex,
         dist_s: DistanceMap,
-        dist_t: DistanceMap,
+        dist_t: JointMap,
     ) -> "CpeEnumerator":
         """Assemble an enumerator from pre-built state (deserialization).
 
         The caller is responsible for the parts being mutually
-        consistent (index invariant w.r.t. the graph and distances);
-        :mod:`repro.core.serialize` produces such parts.
+        consistent (index invariant w.r.t. the graph and distances,
+        ``dist_t`` pruned by ``dist_s``); :mod:`repro.core.serialize`
+        produces such parts.
         """
         self = cls.__new__(cls)
         self.graph = graph
@@ -171,8 +174,10 @@ class CpeEnumerator:
         return self._dist_s
 
     @property
-    def dist_t(self) -> DistanceMap:
-        """The maintained ``Dist_t`` map (read-only use expected)."""
+    def dist_t(self) -> JointMap:
+        """The maintained joint ``Dist_t`` map (read-only use expected):
+        the true ``Dist_t`` on ``G_sub = {v : Dist_s[v] + Dist_t[v] <= k}``
+        and ``far`` everywhere else."""
         return self._dist_t
 
     @property
@@ -217,11 +222,7 @@ class CpeEnumerator:
         graph as it was (edge already present / already absent) changes
         nothing."""
         if not self.graph.apply_update(update):
-            return UpdateResult(
-                update,
-                changed=False,
-                record=UpdateRecord(update.insert, changed=False),
-            )
+            return UpdateResult(update, changed=False)
         return self.observe(update)
 
     # ------------------------------------------------------------------
@@ -239,7 +240,7 @@ class CpeEnumerator:
         not reflect the update.
 
         An update that fails the relevance test (``record.relevant`` is
-        False) repaired only the distance maps: its deltas are empty, so
+        False) repaired only ``Dist_s``: its deltas are empty, so
         neither the delta join nor the removal pass runs.
         """
         started = time.perf_counter()

@@ -96,7 +96,10 @@ class StrictUdfsMaintainer(IndexMaintainer):
                     stack.append(extended)
 
     def _repair_left(
-        self, changed_t: Dict[Vertex, Tuple[int, int]], delta: PathBuckets
+        self,
+        changed_t: Dict[Vertex, Tuple[int, int]],
+        changed_s: Dict[Vertex, Tuple[int, int]],
+        delta: PathBuckets,
     ) -> None:
         k, l = self.k, self.index.plan.l
         left = self.index.left

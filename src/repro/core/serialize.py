@@ -5,8 +5,10 @@ process restarts without rebuilding its indexes from scratch.  This
 module serializes a :class:`~repro.core.enumerator.CpeEnumerator` —
 graph, query, join plan, the full partial path index and the direct-edge
 flag — to a JSON document, and restores it without re-running the
-construction.  Distance maps are rebuilt by a fresh BFS on load (they
-are ``O(|V| + |E|)``, negligible next to the index).
+construction.  Distance maps are rebuilt on load the way
+:func:`~repro.core.construction.build_index` builds them: ``Dist_s`` by
+a fresh BFS, ``Dist_t`` by a BFS pruned by it (``O(|V| + |E|)`` at
+most, negligible next to the index).
 
 Vertices must be JSON-representable scalars (``int`` or ``str``); the
 experiment datasets use ``int`` throughout.  Tuples round-trip through
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.core.construction import map_horizon
-from repro.core.distance import DistanceMap
+from repro.core.distance import DistanceMap, JointMap
 from repro.core.enumerator import CpeEnumerator
 from repro.core.index import PartialPathIndex
 from repro.core.plan import JoinPlan
@@ -72,7 +74,7 @@ def restore(state: dict) -> CpeEnumerator:
         index.add_right(tuple(raw))  # repro: noqa[R001]
     horizon = map_horizon(k)
     dist_s = DistanceMap(graph, s, horizon=horizon)
-    dist_t = DistanceMap(graph.reverse_view(), t, horizon=horizon)
+    dist_t = JointMap(graph.reverse_view(), t, dist_s)
     return CpeEnumerator.from_parts(graph, index, dist_s, dist_t)
 
 

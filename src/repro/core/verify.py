@@ -24,7 +24,7 @@ def verify_enumerator(cpe: CpeEnumerator) -> List[str]:
     if not cpe.dist_s.is_consistent():
         findings.append("Dist_s diverges from a fresh BFS")
     if not cpe.dist_t.is_consistent():
-        findings.append("Dist_t diverges from a fresh BFS")
+        findings.append("Dist_t diverges from a fresh BFS on G_sub")
 
     findings.extend(_structural_checks(cpe))
     findings.extend(_mask_checks(cpe))

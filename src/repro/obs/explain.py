@@ -245,10 +245,7 @@ class ExplainReport:
                 lines.append(row)
         if rec.total_paths is not None:
             # The total is the join's emits plus the direct edge.
-            lines.append(
-                f"total paths: {rec.total_paths} "
-                f"(join emits {rec.total_paths} incl. direct edge)"
-            )
+            lines.append(f"total paths: {rec.total_paths}")
         lines.append(
             f"timings: construction {self.construction_seconds * 1e3:.3f} ms"
             + (

@@ -19,9 +19,11 @@ The cache does not keep entries consistent by itself: the owning engine
 must replay every graph update into each cached enumerator (via
 :meth:`CpeEnumerator.observe`) exactly as it does for watched pairs —
 see :meth:`IndexCache.observe_all`.  Because every live entry's
-``Dist_s`` / ``Dist_t`` maps are therefore exact, a miss clones them
-from a live entry that shares its source (or target) and ``k`` instead
-of running that side's hop-capped BFS again.
+``Dist_s`` map is therefore exact, a miss clones it from a live entry
+that shares its source and ``k`` instead of running that BFS again.
+An entry's ``Dist_t`` is pruned by its own ``Dist_s`` (a
+:class:`~repro.core.distance.JointMap`), so a miss always builds it,
+at a fraction of a full BFS.
 """
 
 from __future__ import annotations
@@ -165,9 +167,9 @@ class IndexCache:
         """The warm enumerator for ``(s, t, k)``, building it on a miss.
 
         A hit refreshes recency; a miss constructs the index
-        (``CPE_startup``'s build phase, with each side's distance map
-        cloned from a live entry that shares that endpoint and ``k``
-        when there is one), estimates its size, and either caches it
+        (``CPE_startup``'s build phase, with ``Dist_s`` cloned from a
+        live entry that shares ``s`` and ``k`` when there is one),
+        estimates its size, and either caches it
         (evicting LRU entries past the budget) or bypasses the cache
         when the entry alone is larger than the whole budget.  The
         returned :class:`CacheLookup` carries the outcome this call
@@ -204,27 +206,21 @@ class IndexCache:
         return CacheLookup(entry, "miss")
 
     def _build(self, s: Vertex, t: Vertex, k: int) -> CpeEnumerator:
-        """Construct ``(s, t, k)``, seeding its distance maps from live
-        entries.
+        """Construct ``(s, t, k)``, seeding its ``Dist_s`` from a live
+        entry.
 
         :meth:`observe_all` repairs every entry's maps on every update,
         so a live entry with the same ``(s, k)`` holds exactly the
-        ``Dist_s`` a fresh BFS would compute, and one with the same
-        ``(t, k)`` exactly the ``Dist_t``.  A clone replaces that side's
-        BFS; a side with no such entry runs its own.
+        ``Dist_s`` a fresh BFS would compute; a clone replaces that BFS.
+        ``Dist_t`` depends on both endpoints, so it is built pruned by
+        that ``Dist_s``.
         """
         dist_s: Optional[DistanceMap] = None
-        dist_t: Optional[DistanceMap] = None
-        for (entry_s, entry_t, entry_k), entry in self._entries.items():
-            if entry_k != k:
-                continue
-            if dist_s is None and entry_s == s:
+        for (entry_s, _, entry_k), entry in self._entries.items():
+            if entry_k == k and entry_s == s:
                 dist_s = entry.dist_s.clone()
-            if dist_t is None and entry_t == t:
-                dist_t = entry.dist_t.clone()
-            if dist_s is not None and dist_t is not None:
                 break
-        build = build_index(self.graph, s, t, k, dist_s=dist_s, dist_t=dist_t)
+        build = build_index(self.graph, s, t, k, dist_s=dist_s)
         return CpeEnumerator.from_build(self.graph, build)
 
     def invalidate(self, key: CacheKey) -> bool:
@@ -258,9 +254,9 @@ class IndexCache:
         Entries whose index the update changed are re-measured (an
         update can grow an entry past the budget), then LRU eviction
         restores the budget.  An update that failed an entry's relevance
-        test repaired only its distance maps, which are not charged, so
-        that entry keeps its size.  Recency is *not* touched: repairing
-        an index is bookkeeping, not use.
+        test repaired only its ``Dist_s``, which is not charged, so that
+        entry keeps its size.  Recency is *not* touched: repairing an
+        index is bookkeeping, not use.
         """
         results: Dict[CacheKey, UpdateResult] = {}
         resized = False
@@ -269,7 +265,8 @@ class IndexCache:
             result = entry.observe(update)
             results[key] = result
             record = result.record
-            if record is None or (record.changed and record.relevant):
+            assert record is not None  # observe always returns its record
+            if record.relevant:
                 size = estimated_entry_bytes(entry)
                 self._current_bytes += size - self._sizes[key]
                 self._sizes[key] = size

@@ -382,7 +382,7 @@ def test_r006_exempts_private_modules(tmp_path):
 # ----------------------------------------------------------------------
 _R009_CONSTRUCTION = textwrap.dedent(
     """\
-    def build_index(graph, s, t, k, stats=None, dist_s=None, dist_t=None):
+    def build_index(graph, s, t, k, forced_plan=None, dist_s=None):
         return object()
 
 

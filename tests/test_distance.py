@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from repro.core.distance import MAX_HORIZON, DistanceMap, induced_vertices
+from repro.core.distance import (
+    MAX_HORIZON,
+    DistanceMap,
+    JointMap,
+    induced_vertices,
+)
 from repro.graph.digraph import DynamicDiGraph
 from tests.conftest import make_random_graph
 
@@ -240,3 +245,50 @@ class TestInducedVertices:
         dt = DistanceMap(chain(3).reverse_view(), 2, horizon=3)
         with pytest.raises(ValueError):
             induced_vertices(ds, dt, 3)
+
+
+class TestJointMap:
+    """``Dist_t`` on ``G_sub = {x : Dist_s[x] + Dist_t[x] <= far}`` only."""
+
+    K = 4  # horizon 3, far 4
+
+    def maps(self):
+        # s=0 -> 1 -> 2 -> t=3, and 6 -> 5 -> 4 -> 3 beside it: 4, 5
+        # and 6 reach t but are out of s's reach.
+        g = DynamicDiGraph([(0, 1), (1, 2), (2, 3), (6, 5), (5, 4), (4, 3)])
+        ds = DistanceMap(g, 0, horizon=self.K - 1)
+        return g, ds, JointMap(g.reverse_view(), 3, ds)
+
+    def test_build_stops_at_g_sub(self):
+        _, _, dt = self.maps()
+        assert dict(dt.known()) == {3: 0, 2: 1, 1: 2, 0: 3}
+        assert dt.get(4) == dt.far
+        assert dt.is_consistent()
+
+    def test_insertion_brings_vertices_in(self):
+        g, ds, dt = self.maps()
+        g.add_edge(1, 5)
+        changed_s = ds.relax_insert(1, 5)
+        assert changed_s == {5: (4, 2), 4: (4, 3)}
+        # Dist_s[1] + 1 + Dist_t[5] = 4: the table reads far at 5, so
+        # only the search from 5 decides the test.
+        ids = g.interner.ids()
+        assert dt.reaches(ids[5], 2, changed_s)
+        assert not dt.reaches(ids[5], 1, changed_s)
+        assert dt.relax_insert(5, 1, changed_s) == {4: (4, 1), 5: (4, 2)}
+        assert dt.is_consistent() and dt.get(6) == dt.far
+
+    def test_deletion_sets_leavers_far(self):
+        g, ds, dt = self.maps()
+        g.add_edge(1, 5)
+        dt.relax_insert(5, 1, ds.relax_insert(1, 5))
+        g.remove_edge(1, 5)
+        changed_s = ds.tighten_delete(1, 5)
+        # Dist_t of 4 and 5 stays; their Dist_s rose, so they left.
+        assert dt.tighten_delete(5, 1, changed_s) == {5: (2, 4), 4: (1, 4)}
+        assert dict(dt.known()) == {3: 0, 2: 1, 1: 2, 0: 3}
+
+    def test_bound_must_share_the_graph(self):
+        _, ds, _ = self.maps()
+        with pytest.raises(ValueError):
+            JointMap(chain(4).reverse_view(), 3, ds)

@@ -335,12 +335,13 @@ def test_relevance_gate_moves_the_documented_counters():
         "inserts": 1, "deletes": 0, "untouched": 0, "relaxed": 0,
         "tightened": 0,
     }
-    # Dist_s[4] + 1 + Dist_t[1] = 5 > 3: maps only (Dist_t[4] drops
-    # from far to 2), no index repair, no delta join.
+    # Dist_s[2] + 1 + Dist_t[4] = 1 + 1 + far > 3: Dist_s only
+    # (Dist_s[4] drops from far to 2), no index repair, no delta join.
     index_before = (cpe.index.left.as_dict(), cpe.index.right.as_dict())
-    gated = cpe.insert_edge(4, 1)
+    gated = cpe.insert_edge(2, 4)
     assert not gated.record.relevant and gated.changed and gated.paths == []
-    assert gated.record.relaxed_t == 1 and cpe.dist_t.get(4) == 2
+    assert gated.record.relaxed_s == 1 and cpe.dist_s.get(4) == 2
+    assert gated.record.relaxed_t == 0
     assert (cpe.index.left.as_dict(), cpe.index.right.as_dict()) == (
         index_before
     )
@@ -348,8 +349,8 @@ def test_relevance_gate_moves_the_documented_counters():
         "inserts": 1, "deletes": 0, "untouched": 1, "relaxed": 1,
         "tightened": 0,
     }
-    gated = cpe.delete_edge(4, 1)
-    assert not gated.record.relevant and cpe.dist_t.get(4) == cpe.dist_t.far
+    gated = cpe.delete_edge(2, 4)
+    assert not gated.record.relevant and cpe.dist_s.get(4) == cpe.dist_s.far
     relevant = cpe.delete_edge(1, 2)
     assert relevant.record.relevant and relevant.paths == [(0, 1, 2, 3)]
     assert counters() == {

@@ -9,7 +9,7 @@ from repro.baselines.bruteforce import path_set
 from repro.graph.digraph import DynamicDiGraph, EdgeUpdate
 from repro.obs import events
 from repro.core.construction import build_index
-from repro.core.distance import DistanceMap
+from repro.core.distance import DistanceMap, JointMap
 from repro.core.enumerator import CpeEnumerator
 from repro.core import index as index_module
 from repro.core.index import PathBuckets
@@ -379,12 +379,15 @@ def _shared_endpoint_case(seed):
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """Sources of every ``DistanceMap`` BFS run while the test runs."""
+    """Sources of every full ``DistanceMap`` BFS run while the test
+    runs; a :class:`JointMap`'s build, pruned by its ``Dist_s``, is not
+    one."""
     sources = []
     real_init = DistanceMap.__init__
 
     def counting_init(self, view, source, horizon):
-        sources.append(source)
+        if not isinstance(self, JointMap):
+            sources.append(source)
         real_init(self, view, source, horizon)
 
     monkeypatch.setattr(DistanceMap, "__init__", counting_init)
@@ -396,15 +399,20 @@ class TestMissReusesLiveMaps:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_shared_endpoints_run_no_bfs(self, seed, bfs_sources):
+        # The shared source's Dist_s is cloned; Dist_t is always built,
+        # pruned by that Dist_s, whoever shares the target.
         _, g, cache, (s, t, k), _, _ = _shared_endpoint_case(seed)
         del bfs_sources[:]
         lookup = cache.get_or_build(s, t, k)
         assert lookup.outcome == "miss"
         assert bfs_sources == []
+        dist_t = lookup.enumerator.dist_t
+        assert dist_t.source == t and dist_t.bound is lookup.enumerator.dist_s
         fresh = CpeEnumerator(g, s, t, k)
-        assert len(bfs_sources) == 2
+        assert bfs_sources == [s]
         assert lookup.enumerator.startup() == fresh.startup()
         assert lookup.enumerator.plan == fresh.plan
+        assert dist_t.table() == fresh.dist_t.table()
 
     def test_unshared_side_runs_its_own_bfs(self, bfs_sources):
         _, g, cache, (s, t, k), source_entry, target_entry = (
@@ -414,11 +422,11 @@ class TestMissReusesLiveMaps:
         other = next(v for v in g.vertices() if v not in used)
         del bfs_sources[:]
         cache.get_or_build(s, other, k)
-        assert bfs_sources == [other]
+        assert bfs_sources == []
         cache.get_or_build(other, t, k)
-        assert bfs_sources == [other, other]
+        assert bfs_sources == [other]
         cache.get_or_build(s, t, k + 1)
-        assert bfs_sources == [other, other, s, t]
+        assert bfs_sources == [other, s]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeded_entry_tracks_updates_exactly(self, seed):
@@ -449,4 +457,4 @@ class TestMissReusesLiveMaps:
         assert all(m.is_consistent() for m in maps)
         assert len({id(m.table()) for m in maps}) == len(maps)
         assert seeded.dist_s.table() == source_entry.dist_s.table()
-        assert seeded.dist_t.table() == target_entry.dist_t.table()
+        assert seeded.dist_t.bound is seeded.dist_s
