@@ -4,8 +4,9 @@ Every ``bench_figN`` module does two things:
 
 1. regenerates the paper table/figure through its experiment driver
    (printed to stdout — run with ``-s`` to see it — and saved under
-   ``benchmarks/results/``), asserting the qualitative *shape* the
-   paper reports;
+   ``benchmarks/results/latest/``, which git ignores; the committed
+   tables in ``benchmarks/results/`` are the recorded reference),
+   asserting the qualitative *shape* the paper reports;
 2. times the representative operations with pytest-benchmark.
 
 Knobs: ``REPRO_BENCH_SCALE`` (default 0.5), ``REPRO_BENCH_QUERIES``,
@@ -29,6 +30,8 @@ import pytest
 from repro.experiments.common import ExperimentConfig, ExperimentResult
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where each run writes its regenerated paper tables.
+LATEST_DIR = RESULTS_DIR / "latest"
 
 #: Version tag carried by every benchmark result file.
 BENCH_SCHEMA = "repro-bench/1"
@@ -104,14 +107,15 @@ def result_metrics(result: ExperimentResult) -> Dict[str, Dict[str, Any]]:
 def publish(result: ExperimentResult, filename: str) -> ExperimentResult:
     """Print a regenerated table and persist it for the record.
 
-    Writes the human-readable table to ``results/<filename>`` and the
-    derived ``repro-bench/1`` metrics to ``results/<stem>.json``.
+    Writes the human-readable table to ``results/latest/<filename>``
+    and the derived ``repro-bench/1`` metrics to
+    ``results/<stem>.json``.
     """
     text = result.format()
     print()
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / filename).write_text(text + "\n", encoding="utf-8")
+    LATEST_DIR.mkdir(parents=True, exist_ok=True)
+    (LATEST_DIR / filename).write_text(text + "\n", encoding="utf-8")
     stem = Path(filename).stem
     publish_json(stem, result_metrics(result), config=bench_config())
     return result
@@ -124,6 +128,7 @@ def config() -> ExperimentConfig:
 
 __all__ = [
     "RESULTS_DIR",
+    "LATEST_DIR",
     "BENCH_SCHEMA",
     "bench_config",
     "metric",

@@ -9,6 +9,14 @@ their per-query state (:func:`estimated_entry_bytes` — the graph is
 excluded, since every cached entry shares the one service graph), and
 evicts least-recently-used entries once the budget is exceeded.
 
+Admission follows TinyLFU (Einziger et al., ACM ToS 2017): the cache
+counts every valid lookup per key, halving all counts once per
+:data:`FREQUENCY_SAMPLE` lookups, and a miss that would have to evict
+keeps its entry only if its key had been looked up more often than the
+LRU entries it would displace together.  A refused entry still answers
+its query, so a one-off key cannot push out the warm indexes that hot
+keys keep reusing.
+
 :func:`estimated_entry_bytes` reads the index's running path and
 vertex-slot counters, so sizing an entry costs O(1) — after a miss and
 after every repair — however many partial paths it stores.  Budgets are
@@ -48,6 +56,12 @@ CacheKey = Tuple[Vertex, Vertex, int]
 #: against ≈55-60 KB charged for a top-1% pair's index at k=7).
 ENTRY_BASE_BYTES = 256
 
+#: Lookups between two agings of the admission rule's frequency table.
+#: Each aging halves every count and forgets keys that reach 0, so the
+#: counts sum to at most ``2 * FREQUENCY_SAMPLE`` and the table holds at
+#: most that many keys.
+FREQUENCY_SAMPLE = 4096
+
 
 def check_query(s: Vertex, t: Vertex, k: int) -> None:
     """Raise :class:`ValueError` unless ``(s, t, k)`` can be served:
@@ -78,7 +92,8 @@ class CacheLookup(NamedTuple):
     how this very call obtained it.
 
     ``outcome`` is authoritative — ``"hit"`` (served warm), ``"miss"``
-    (built and cached) or ``"bypass"`` (built, too big to retain).
+    (built and cached) or ``"bypass"`` (built, not retained: too big
+    for the budget, or refused admission).
     Callers must not re-derive it by probing cache state afterwards: a
     bypassed build leaves ``key in cache`` False, and an eviction can
     change what it reports between the decision and the probe.
@@ -121,7 +136,8 @@ class CacheStats:
 
 
 class IndexCache:
-    """LRU cache of :class:`CpeEnumerator` keyed by ``(s, t, k)``.
+    """LRU cache of :class:`CpeEnumerator` keyed by ``(s, t, k)``, with
+    frequency-gated admission.
 
     Parameters
     ----------
@@ -130,8 +146,10 @@ class IndexCache:
         (and observes updates to) this one instance.
     budget_bytes:
         Memory budget for the per-query state of all entries combined.
-        An entry whose state alone exceeds the budget is *bypassed*:
-        built and returned, but not retained.
+        An entry is *bypassed* — built and returned, but not retained —
+        when its state alone exceeds the budget, or when making room
+        for it would evict LRU entries whose lookup counts sum to at
+        least its own count of earlier lookups.
     """
 
     def __init__(self, graph: DynamicDiGraph, budget_bytes: int = 4 << 20) -> None:
@@ -146,6 +164,8 @@ class IndexCache:
         self._misses = 0
         self._evictions = 0
         self._bypasses = 0
+        self._frequency: Dict[CacheKey, int] = {}
+        self._sampled = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -171,17 +191,20 @@ class IndexCache:
         live entry that shares ``s`` and ``k`` when there is one),
         estimates its size, and either caches it
         (evicting LRU entries past the budget) or bypasses the cache
-        when the entry alone is larger than the whole budget.  The
-        returned :class:`CacheLookup` carries the outcome this call
-        took (``hit`` / ``miss`` / ``bypass``) explicitly, so callers
-        never have to infer it from post-call cache state.  An invalid
-        query (see :func:`check_query`) raises :class:`ValueError`
-        before any counter, metric or event moves.
+        when the entry alone is larger than the whole budget, or when
+        the LRU entries it would evict were looked up at least as often
+        as ``(s, t, k)`` had been before this call (the module's
+        admission rule).  The returned :class:`CacheLookup` carries the
+        outcome this call took (``hit`` / ``miss`` / ``bypass``)
+        explicitly, so callers never have to infer it from post-call
+        cache state.  An invalid query (see :func:`check_query`) raises
+        :class:`ValueError` before any counter, metric or event moves.
         """
         check_query(s, t, k)
         key = (s, t, k)
         entry = self._entries.get(key)
         if entry is not None:
+            self._count(key)
             self._hits += 1
             self._entries.move_to_end(key)
             obs.incr("service.cache.hits")
@@ -195,7 +218,9 @@ class IndexCache:
         with obs.span("service.cache.build"):
             entry = self._build(s, t, k)
         size = estimated_entry_bytes(entry)
-        if size > self.budget_bytes:
+        kept = size <= self.budget_bytes and self._admits(key, size)
+        self._count(key)
+        if not kept:
             self._bypasses += 1
             obs.incr("service.cache.bypasses")
             return CacheLookup(entry, "bypass")
@@ -204,6 +229,43 @@ class IndexCache:
         self._current_bytes += size
         self._shrink_to_budget()
         return CacheLookup(entry, "miss")
+
+    def _count(self, key: CacheKey) -> None:
+        """Count one lookup of ``key``; once per
+        :data:`FREQUENCY_SAMPLE` lookups, halve every count and forget
+        the keys that reach 0."""
+        self._frequency[key] = self._frequency.get(key, 0) + 1
+        self._sampled += 1
+        if self._sampled >= FREQUENCY_SAMPLE:
+            self._sampled = 0
+            self._frequency = {
+                counted: count >> 1
+                for counted, count in self._frequency.items()
+                if count > 1
+            }
+
+    def _admits(self, key: CacheKey, size: int) -> bool:
+        """Whether a built entry of ``size`` bytes may stay: always when
+        it fits beside the live entries, otherwise only when ``key``'s
+        count is strictly greater than the summed counts of the LRU
+        entries that would leave to make room.
+
+        The lookup being decided is not counted yet, so a key asked as
+        often as its victim ties and the incumbent stays.  Counting it
+        first lets each key asked once per period evict the next such
+        key due, which then misses in turn: a chain of misses.
+        """
+        excess = self._current_bytes + size - self.budget_bytes
+        count = self._frequency.get(key, 0)
+        displaced = 0
+        for victim in self._entries:  # least recently used first
+            if excess <= 0:
+                break
+            displaced += self._frequency.get(victim, 0)
+            if displaced >= count:
+                return False
+            excess -= self._sizes[victim]
+        return True
 
     def _build(self, s: Vertex, t: Vertex, k: int) -> CpeEnumerator:
         """Construct ``(s, t, k)``, seeding its ``Dist_s`` from a live
@@ -323,6 +385,7 @@ __all__ = [
     "CacheLookup",
     "CacheStats",
     "ENTRY_BASE_BYTES",
+    "FREQUENCY_SAMPLE",
     "IndexCache",
     "check_query",
     "estimated_entry_bytes",

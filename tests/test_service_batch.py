@@ -216,10 +216,14 @@ class TestCacheAccounting:
         one_entry = probe.handle("stats", {})["cache"]["current_bytes"]
         budget = int(one_entry * 2.5)
 
+        # A key evicts only once it has been asked for more often than
+        # its victims, so recency decides whether (1,4,2) gets in: it
+        # can displace (0,4,3), asked once, but not (0,3,3).
         triples = [
-            (0, 3, 3), (0, 4, 3), (1, 4, 2),  # fills + evicts
-            (0, 3, 3),                        # hit or miss: recency decides
-            (0, 4, 3), (0, 3, 3), (1, 4, 2),
+            (0, 3, 3), (0, 3, 3), (0, 3, 3), (0, 4, 3),  # fills
+            (0, 3, 3),                        # refresh: (0,4,3) is now LRU
+            (1, 4, 2), (1, 4, 2), (1, 4, 2),  # refused twice, then evicts
+            (0, 4, 3),
         ]
         sequential = PathQueryEngine(graph.copy(), cache_budget_bytes=budget)
         batched = PathQueryEngine(graph.copy(), cache_budget_bytes=budget)

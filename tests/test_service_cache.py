@@ -1,4 +1,4 @@
-"""Tests for the warm-index LRU cache."""
+"""Tests for the warm-index LRU cache and its admission rule."""
 
 import random
 
@@ -13,8 +13,10 @@ from repro.core.distance import DistanceMap, JointMap
 from repro.core.enumerator import CpeEnumerator
 from repro.core import index as index_module
 from repro.core.index import PathBuckets
+from repro.service import cache as cache_module
 from repro.service.cache import (
     ENTRY_BASE_BYTES,
+    FREQUENCY_SAMPLE,
     IndexCache,
     estimated_entry_bytes,
 )
@@ -117,7 +119,10 @@ class TestEvictionAndBudget:
         cache.get_or_build(0, 4, 4)
         cache.get_or_build(1, 5, 4)
         cache.get_or_build(0, 4, 4)          # refresh: (1,5,4) is now LRU
-        cache.get_or_build(2, 6, 4)          # must evict something
+        for _ in range(2):                   # no more often than (1,5,4)
+            assert cache.get_or_build(2, 6, 4).outcome == "bypass"
+        cache.get_or_build(2, 6, 4)          # now more often: must evict
+        assert (2, 6, 4) in cache
         assert (0, 4, 4) in cache
         assert (1, 5, 4) not in cache
         assert cache.stats().evictions >= 1
@@ -151,6 +156,161 @@ class TestEvictionAndBudget:
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError):
             IndexCache(chain_graph(), budget_bytes=0)
+
+
+def _sizes(graph, keys):
+    probe = IndexCache(graph)
+    return {
+        key: estimated_entry_bytes(probe.get_or_build(*key).enumerator)
+        for key in keys
+    }
+
+
+def _state(cache):
+    return list(cache.keys()), cache.stats(), dict(cache._frequency)
+
+
+A, B, C, D = (3, 7, 4), (2, 6, 4), (1, 5, 4), (0, 4, 4)
+
+
+class TestAdmission:
+    """TinyLFU's admission rule in front of the LRU: a miss that must
+    evict keeps its entry only if its key had been looked up more often
+    than the entries it would displace together."""
+
+    def test_once_seen_key_does_not_displace_frequent_entries(self):
+        g = chain_graph()
+        sizes = _sizes(g, [A, B, C])
+        cache = IndexCache(g, budget_bytes=sizes[A] + sizes[B])
+        for key in (A, A, B, B):
+            cache.get_or_build(*key)
+        before = _state(cache)
+        lookup = cache.get_or_build(*C)
+        assert lookup.outcome == "bypass"
+        assert set(lookup.enumerator.startup()) == path_set(g, 1, 5, 4)
+        keys, stats, frequency = _state(cache)
+        assert keys == before[0] == [A, B]
+        assert stats.bypasses == before[1].bypasses + 1
+        assert stats.misses == before[1].misses + 1
+        assert stats.evictions == before[1].evictions == 0
+        assert stats.current_bytes == before[1].current_bytes
+        assert frequency == {**before[2], C: 1}
+
+    def test_frequent_key_evicts_its_victims_in_lru_order(self, instrumented):
+        g = chain_graph()
+        sizes = _sizes(g, [A, B, C, D])
+        # D displaces both A and B, which were looked up once each.
+        assert sizes[D] > sizes[A] and sizes[D] <= sizes[A] + sizes[B]
+        cache = IndexCache(g, budget_bytes=sizes[A] + sizes[B] + sizes[C])
+        for key in (A, B, C):
+            assert cache.get_or_build(*key).outcome == "miss"
+        # 0, 1 and 2 earlier lookups against the victims' summed 2.
+        for _ in range(3):
+            assert cache.get_or_build(*D).outcome == "bypass"
+        assert list(cache.keys()) == [A, B, C]
+        assert cache.get_or_build(*D).outcome == "miss"
+        assert list(cache.keys()) == [C, D]
+        stats = cache.stats()
+        assert (stats.evictions, stats.bypasses) == (2, 3)
+        assert stats.current_bytes == sizes[C] + sizes[D]
+        evicted = [
+            (event["s"], event["t"], event["k"])
+            for event in events.tail(50)
+            if event["kind"] == events.CACHE_EVICT
+        ]
+        assert evicted == [A, B]
+
+    def test_keys_asked_equally_often_do_not_evict_each_other(self):
+        # Three equal-sized keys asked once per round, two slots.  The
+        # lookup being decided is not counted yet, so the key left out
+        # ties with its victim and stays out; counting it first would
+        # let it evict the next key due, which would then miss in turn.
+        g = chain_graph()
+        keys = [(3, 7, 4), (0, 6, 4), (4, 8, 4)]
+        sizes = _sizes(g, keys)
+        assert len(set(sizes.values())) == 1
+        cache = IndexCache(g, budget_bytes=2 * sizes[keys[0]])
+        for key in keys:
+            cache.get_or_build(*key)
+        for _ in range(3):
+            outcomes = [cache.get_or_build(*key).outcome
+                        for key in (keys[2], keys[0], keys[1])]
+            assert outcomes == ["bypass", "hit", "hit"]
+        assert cache.stats().evictions == 0
+
+    def test_entry_that_fits_is_always_admitted(self):
+        g = chain_graph()
+        sizes = _sizes(g, [A, B])
+        cache = IndexCache(g, budget_bytes=sizes[A] + sizes[B])
+        for _ in range(5):
+            cache.get_or_build(*A)
+        assert cache.get_or_build(*B).outcome == "miss"
+        stats = cache.stats()
+        assert list(cache.keys()) == [A, B]
+        assert stats.current_bytes == stats.budget_bytes
+        assert (stats.evictions, stats.bypasses) == (0, 0)
+
+    def test_aging_halves_counts_and_drops_zeros(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "FREQUENCY_SAMPLE", 8)
+        cache = IndexCache(chain_graph())
+        for key in (A, A, A, A, A, B, C):
+            cache.get_or_build(*key)
+        assert cache._frequency == {A: 5, B: 1, C: 1}
+        cache.get_or_build(*A)               # the 8th lookup ages
+        assert cache._frequency == {A: 3}
+        for key in (B, B, B, C, D, D, D, D):
+            cache.get_or_build(*key)
+        assert cache._frequency == {A: 1, B: 1, D: 2}
+
+    def test_rejected_query_leaves_the_table_alone(self):
+        cache = IndexCache(chain_graph())
+        cache.get_or_build(*A)
+        cache.get_or_build(*A)
+        before = (dict(cache._frequency), cache._sampled)
+        for s, t, k in [(2, 2, 4), (0, 4, -1), (0, 4, 254)]:
+            with pytest.raises(ValueError):
+                cache.get_or_build(s, t, k)
+        assert (cache._frequency, cache._sampled) == before
+
+    def test_frequency_table_stays_bounded(self):
+        cache = IndexCache(chain_graph())
+        hot = [(0, 4, 4), (1, 5, 4)]
+        largest = 0
+        for i in range(3 * FREQUENCY_SAMPLE):
+            cache._count(hot[i % 2] if i % 3 == 0 else ("cold", i, 4))
+            assert sum(cache._frequency.values()) <= 2 * FREQUENCY_SAMPLE
+            largest = max(largest, len(cache._frequency))
+        assert largest <= 2 * FREQUENCY_SAMPLE
+        assert len(cache._frequency) < FREQUENCY_SAMPLE
+        assert all(key in cache._frequency for key in hot)
+
+    def test_two_caches_fed_one_stream_agree(self):
+        rng = random.Random(3)
+        g = make_random_graph(rng, n_lo=9, n_hi=9, max_edges=30)
+        mirror = g.copy()
+        pool = [random_query(rng, g) for _ in range(8)]
+        probe_sizes = _sizes(g, pool)
+        budget = sorted(probe_sizes.values())[-3:]
+        caches = [
+            IndexCache(graph, budget_bytes=sum(budget))
+            for graph in (g, mirror)
+        ]
+        outcomes = [[], []]
+        for step in range(120):
+            if step % 10 == 9:
+                u, v = rng.sample(list(g.vertices()), 2)
+                update = EdgeUpdate(u, v, not g.has_edge(u, v))
+                for graph, cache in zip((g, mirror), caches):
+                    assert graph.apply_update(update)
+                    cache.observe_all(update)
+                continue
+            key = pool[min(int(rng.paretovariate(1.0)) - 1, len(pool) - 1)]
+            for cache, seen in zip(caches, outcomes):
+                seen.append(cache.get_or_build(*key).outcome)
+        assert outcomes[0] == outcomes[1]
+        assert {"hit", "miss", "bypass"} <= set(outcomes[0])
+        assert _state(caches[0]) == _state(caches[1])
+        assert caches[0].stats().evictions > 0
 
 
 class TestExplicitDropAccounting:

@@ -3,8 +3,9 @@
 Hypothesis drives a :class:`PathQueryEngine` through generated streams
 of ``query``, ``batch_query``, ``watch``, ``unwatch``, ``update`` and
 ``batch_update`` requests — small graphs, ``k <= 4``, a few hot edges
-the stream keeps flipping, and cache budgets small enough to evict and
-to bypass — and checks every reply against brute force on a mirror
+the stream keeps flipping, queries drawn often from a few hot triples,
+and cache budgets small enough to evict, to bypass and to refuse an
+admission — and checks every reply against brute force on a mirror
 graph:
 
 - query, batch member and watch answers equal
@@ -60,6 +61,11 @@ def sessions(draw):
     triple = st.tuples(vertex, vertex, st.integers(0, MAX_K)).filter(
         lambda q: q[0] != q[1]
     )
+    # Repeated keys give the admission rule counts to compare.
+    query = st.one_of(
+        st.sampled_from(draw(st.lists(triple, min_size=1, max_size=4))),
+        triple,
+    )
     bad_triple = st.one_of(
         st.tuples(vertex, st.integers(0, MAX_K)).map(
             lambda q: (q[0], q[0], q[1])
@@ -72,10 +78,10 @@ def sessions(draw):
     hot = st.sampled_from(draw(st.lists(pair, min_size=1, max_size=3)))
     update = st.tuples(st.one_of(hot, pair), st.booleans())
     op = st.one_of(
-        st.tuples(st.just("query"), triple),
+        st.tuples(st.just("query"), query),
         st.tuples(st.just("query"), bad_triple),
         st.tuples(
-            st.just("batch_query"), st.lists(triple, min_size=1, max_size=4)
+            st.just("batch_query"), st.lists(query, min_size=1, max_size=4)
         ),
         st.tuples(st.just("batch_query"), bad_batch),
         st.tuples(st.just("watch"), triple),
